@@ -3,7 +3,7 @@
 
 Measures per-query latency for every algorithm twice on the same pinned
 workload — once with the vectorized (columnar) kernels, once on the
-object path via ``scalar_kernels()`` — and emits per-series p50/p95
+object path, interleaved query by query — and emits per-series p50/p95
 latencies, the deterministic circleScan/pruning counters, and the
 measured ``speedup_vs_object_path``.
 
@@ -100,33 +100,45 @@ def algorithms():
     }
 
 
-def _run_mode(dataset, queries, repeats: int, vectorized: bool):
-    """Per-algorithm latency samples + answers + counters for one mode."""
+def _run_interleaved(dataset, queries, repeats: int):
+    """Per-mode latency samples + answers + counters, modes interleaved.
+
+    Every query runs once in each mode back to back, alternating which
+    mode goes first, so host speed drift during the run hits both modes
+    alike instead of whichever block was timed second.  Returns one
+    ``{algorithm: (samples, answers, counters)}`` dict per mode,
+    columnar first.
+    """
     import repro.geometry.mcc as mcc
     from repro.core.query import compile_query
     from repro.kernels import set_vectorized
 
-    set_vectorized(vectorized)
-    # Welzl's MCC shuffler is module-level workload state; pin it so both
-    # modes see identical shuffle sequences (and identical answers).
-    mcc._SHUFFLER = random.Random(SHUFFLER_SEED)
-    out = {}
+    modes = (True, False)
+    # Welzl's MCC shuffler is module-level workload state; each mode keeps
+    # its own, pinned to the same seed, so both see identical shuffle
+    # sequences (and identical answers) however the modes interleave.
+    shufflers = {mode: random.Random(SHUFFLER_SEED) for mode in modes}
+    out = {mode: {} for mode in modes}
+    turn = 0
     for name, fn in algorithms().items():
-        samples = []
-        answers = []
-        counters = {key: 0.0 for key in TRACKED_COUNTERS}
+        for mode in modes:
+            out[mode][name] = ([], [], {key: 0.0 for key in TRACKED_COUNTERS})
         for _rep in range(repeats):
             for q in queries:
-                t0 = time.perf_counter()
-                ctx = compile_query(dataset, q)
-                group = fn(ctx)
-                samples.append(time.perf_counter() - t0)
-                if _rep == 0:
-                    answers.append((tuple(group.object_ids), group.diameter))
-                    for key in TRACKED_COUNTERS:
-                        counters[key] += float(group.stats.get(key, 0.0))
-        out[name] = (samples, answers, counters)
-    return out
+                turn += 1
+                for mode in modes[:: 1 if turn % 2 else -1]:
+                    samples, answers, counters = out[mode][name]
+                    set_vectorized(mode)
+                    mcc._SHUFFLER = shufflers[mode]
+                    t0 = time.perf_counter()
+                    ctx = compile_query(dataset, q)
+                    group = fn(ctx)
+                    samples.append(time.perf_counter() - t0)
+                    if _rep == 0:
+                        answers.append((tuple(group.object_ids), group.diameter))
+                        for key in TRACKED_COUNTERS:
+                            counters[key] += float(group.stats.get(key, 0.0))
+    return out[True], out[False]
 
 
 def measure(scale: str, inject_regression: float = 0.0) -> dict:
@@ -137,15 +149,16 @@ def measure(scale: str, inject_regression: float = 0.0) -> dict:
 
     original = vectorized_enabled()
     try:
-        # Warm lazy one-time state (scipy import, per-term NN columns) so
-        # the timed passes measure steady-state latency.
+        # Warm lazy one-time state (scipy import, the columnar store) so
+        # the timed passes measure steady-state latency.  The warm-up's
+        # cover radii also pay rent toward the store's per-term
+        # nearest-holder columns, so terms the workload reuses buy theirs.
         set_vectorized(True)
         for q in queries:
             ctx = compile_query(dataset, q)
             gkg(ctx)
             ctx.cover_radii
-        vec = _run_mode(dataset, queries, cfg["repeats"], vectorized=True)
-        obj = _run_mode(dataset, queries, cfg["repeats"], vectorized=False)
+        vec, obj = _run_interleaved(dataset, queries, cfg["repeats"])
     finally:
         set_vectorized(original)
 

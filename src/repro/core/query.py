@@ -216,42 +216,35 @@ class QueryContext:
         covering group iff ``D >= cover_radii[row]`` — the O(1) precheck
         that lets circleScan skip hopeless (pole, diameter) probes without
         touching the sweeping area.
+
+        Each keyword's distances come from the store's column once bought
+        (``ColumnarStore.term_nn_dists``), else from :meth:`keyword_tree`.
+        Under ``exclude`` the holder set shrinks, so the store is not asked.
         """
         if self._cover_radii is None:
-            radii = None
+            columns = None
             if _vectorized_enabled() and not self.excluded_ids:
-                radii = self._cover_radii_columnar()
-            if radii is None:
+                columns = _columns_of(self.dataset)
+            with _trace_span("index.cover_radii_columnar"):
                 radii = np.zeros(len(self.relevant_ids), dtype=np.float64)
-                for bit_pos in range(self.m):
-                    tree, _holders = self.keyword_tree(bit_pos)
-                    nearest, _idx = tree.query(self.coords, k=1)
-                    np.maximum(radii, nearest, out=radii)
+                positions = None
+                for bit_pos, tid in enumerate(self.term_ids):
+                    dists = None
+                    if columns is not None:
+                        dists = columns.term_nn_dists(tid, len(radii))
+                    if dists is None:
+                        # A holder is its own nearest holder: query the rest.
+                        tree, holders = self.keyword_tree(bit_pos)
+                        rows = np.ones(len(radii), dtype=bool)
+                        rows[holders] = False
+                        nearest, _idx = tree.query(self.coords[rows], k=1)
+                    else:
+                        if positions is None:
+                            positions = columns.positions_of(self.relevant_ids)
+                        rows, nearest = slice(None), dists[positions]
+                    radii[rows] = np.maximum(radii[rows], nearest)
             self._cover_radii = radii
         return self._cover_radii
-
-    def _cover_radii_columnar(self) -> Optional[np.ndarray]:
-        """Coverage radii from the store's per-term NN-distance columns.
-
-        Each query keyword's nearest-holder distances are computed once
-        per dataset (and shared across queries); a compile then gathers
-        the O' rows and takes the running maximum.  Bit-identical to the
-        per-query KD path — every holder of a query keyword belongs to
-        O', so both minimise over the same holder set — but invalid under
-        ``exclude`` (the holder set shrinks), where the caller falls back.
-        """
-        columns = _columns_of(self.dataset)
-        if columns is None:
-            return None
-        with _trace_span("index.cover_radii_columnar"):
-            positions = columns.positions_of(self.relevant_ids)
-            radii = np.zeros(len(positions), dtype=np.float64)
-            for tid in self.term_ids:
-                dists = columns.term_nn_dists(tid)
-                if dists is None:
-                    return None
-                np.maximum(radii, dists[positions], out=radii)
-        return radii
 
     def keyword_tree(self, bit_pos: int):
         """KD-tree over the holders of query keyword ``bit_pos``.

@@ -35,6 +35,7 @@ class ColumnarStore:
         "term_ids",
         "dense",
         "_term_nn",
+        "_term_rent",
     )
 
     def __init__(
@@ -54,10 +55,11 @@ class ColumnarStore:
         self.term_ids = term_ids
         n = len(oids)
         self.dense = bool(n == 0 or (oids[0] == 0 and oids[n - 1] == n - 1))
-        #: Lazy per-term nearest-holder distance columns (term id -> (n,)
-        #: float64).  Shared by every query against this store; see
+        #: Bought per-term nearest-holder distance columns (term id -> (n,)
+        #: float64) and the rent charged toward each; see
         #: :meth:`term_nn_dists`.
         self._term_nn: Dict[int, np.ndarray] = {}
+        self._term_rent: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -98,31 +100,32 @@ class ColumnarStore:
         rows = np.searchsorted(self.term_indptr, hits, side="right") - 1
         return np.unique(rows)
 
-    def term_nn_dists(self, term_id: int) -> Optional[np.ndarray]:
+    def term_nn_dists(self, term_id: int, rent: int) -> Optional[np.ndarray]:
         """Distance from every object to its nearest holder of ``term_id``.
 
-        Computed once per (store, term) with one KD-tree query over the
-        whole store and cached — a query's coverage radii then reduce to a
-        row gather plus a running ``maximum``, instead of m KD-tree
-        queries per compile.  The values are bit-identical to a per-query
-        KD lookup restricted to O': every holder of a query keyword is in
-        O' by definition, so both paths minimise the same distance set.
-
-        Returns None when the term has no holders.
+        Rent-or-buy: a caller needing the distances for ``rent`` objects
+        would otherwise pay a KD query per object, so that count is charged
+        to the term.  Once the charges reach ``len(self)`` — the cost of one
+        KD query over the whole store — the full column is built and
+        cached; before that, and for a term without holders, returns None
+        and the caller queries its own holder tree.  Both sources minimise
+        over the same holder set, so the distances are bit-identical.
         """
         arr = self._term_nn.get(term_id)
-        if arr is None:
-            positions = self.holder_positions(term_id)
-            if len(positions) == 0:
-                return None
-            from scipy.spatial import cKDTree
+        if arr is not None:
+            return arr
+        paid = self._term_rent.get(term_id, 0) + rent
+        self._term_rent[term_id] = paid
+        if paid < len(self.oids):
+            return None
+        positions = self.holder_positions(term_id)
+        if len(positions) == 0:
+            return None
+        from scipy.spatial import cKDTree
 
-            tree = cKDTree(self.coords_of(positions))
-            queries = np.empty((len(self.oids), 2), dtype=np.float64)
-            queries[:, 0] = self.xs
-            queries[:, 1] = self.ys
-            arr, _idx = tree.query(queries, k=1)
-            self._term_nn[term_id] = arr
+        tree = cKDTree(self.coords_of(positions))
+        arr, _idx = tree.query(self.coords_of(np.arange(len(self.oids))), k=1)
+        self._term_nn[term_id] = arr
         return arr
 
     def positions_of(self, oids) -> np.ndarray:

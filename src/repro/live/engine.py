@@ -700,7 +700,8 @@ class LiveMCKEngine:
 
         Keyed by epoch so a context never outlives its snapshot's
         consistency: after any mutation the key misses and the context is
-        rebuilt against the new view.
+        rebuilt against the new view.  Contexts of superseded epochs can
+        never hit again, so an insert drops them and their dead views.
         """
         query = keywords if isinstance(keywords, MCKQuery) else MCKQuery(keywords)
         key = (snapshot.epoch, query.keywords)
@@ -713,6 +714,9 @@ class LiveMCKEngine:
         if self._context_cache_size:
             with self._context_lock:
                 self._contexts[key] = ctx
+                current = self.epoch
+                for stale in [k for k in self._contexts if k[0] < current]:
+                    del self._contexts[stale]
                 while len(self._contexts) > self._context_cache_size:
                     self._contexts.popitem(last=False)
         return ctx

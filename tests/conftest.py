@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro import Dataset, MCKEngine
@@ -82,3 +84,19 @@ def random_dataset_factory():
 @pytest.fixture
 def feasible_query_factory():
     return feasible_query
+
+
+def brute_radii(records, keywords, oids):
+    """cover_radii by definition, per oid: the farthest nearest holder.
+
+    ``records`` are ``(oid, x, y, keywords)``; every holder of a query
+    keyword is in O', so the nearest holder is searched over all records.
+    """
+    where = {oid: (x, y) for oid, x, y, _kws in records}
+    holders = [[(x, y) for _o, x, y, kws in records if kw in kws] for kw in keywords]
+
+    def radius(oid):
+        px, py = where[oid]
+        return max(min(math.hypot(x - px, y - py) for x, y in pts) for pts in holders)
+
+    return np.array([radius(oid) for oid in oids])

@@ -141,6 +141,20 @@ class TestSnapshotIsolation:
         assert len(live) == 10
 
 
+class TestContextCache:
+    def test_insert_drops_superseded_epochs(self, live):
+        live.query(["shrine", "shop"], algorithm="EXACT")
+        live.query(["hotel", "shop"], algorithm="EXACT")
+        assert {key[0] for key in live._contexts} == {0}
+        live.insert(10.6, 10.6, ["cafe"])
+        with live.pin() as stale:
+            live.delete(9)
+            live._context(stale, ["shrine", "shop"])
+            assert list(live._contexts) == []
+            live.query(["shrine", "shop"], algorithm="EXACT")
+        assert list(live._contexts) == [(live.epoch, ("shrine", "shop"))]
+
+
 class TestWalDurability:
     def test_replay_reproduces_live_set(self, tmp_path):
         path = str(tmp_path / "engine.wal")
