@@ -14,7 +14,8 @@ echo "== pytest =="
 python -m pytest -q "$@"
 
 echo "== trace smoke =="
-python scripts/trace_smoke.py
+python scripts/trace_smoke.py SKECa+
+python scripts/trace_smoke.py EXACT
 
 echo "== fault-injection smoke =="
 python scripts/fault_smoke.py

@@ -105,7 +105,7 @@ def check_pool_retry(dataset):
     with QueryService(
         dataset,
         metrics=MetricsRegistry(),
-        use_processes_for_exact=True,
+        process_algorithms=("EXACT",),
         process_workers=1,
         pool_retry_backoff=0.0,
     ) as service:
@@ -125,7 +125,7 @@ def check_breaker_fallback(dataset):
     with QueryService(
         dataset,
         metrics=MetricsRegistry(),
-        use_processes_for_exact=True,
+        process_algorithms=("EXACT",),
         process_workers=1,
         pool_retries=1,
         pool_retry_backoff=0.0,

@@ -167,17 +167,12 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=1024)
     serve.add_argument("--cache-ttl", type=float, default=None)
     serve.add_argument(
-        "--process-exact",
-        action="store_true",
-        help="run EXACT queries on a process pool",
-    )
-    serve.add_argument(
         "--process-algorithms",
         nargs="+",
         default=None,
         metavar="ALGO",
         help="run these algorithms on the worker-process pool (off the "
-        "GIL); supersedes --process-exact",
+        "GIL), e.g. --process-algorithms EXACT",
     )
     serve.add_argument(
         "--http",
@@ -706,7 +701,6 @@ def _cmd_serve_bench(args) -> int:
             shed_policy=args.shed_policy,
             cache_size=args.cache_size,
             cache_ttl=args.cache_ttl,
-            use_processes_for_exact=args.process_exact,
             process_algorithms=args.process_algorithms,
             strict_timeouts=args.strict_timeouts,
             slo=slo,

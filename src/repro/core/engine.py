@@ -3,7 +3,8 @@
 :class:`MCKEngine` owns a :class:`~repro.core.objects.Dataset`, compiles
 queries to :class:`~repro.core.query.QueryContext` objects (with a small
 LRU so repeated benchmarking of one query does not rebuild the virtual
-tree), and dispatches to the algorithm implementations by name.
+tree), and answers through :func:`run_query`, the one compile → run →
+degrade → explain pipeline the live engine shares.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from .skecaplus import skeca_plus
 __all__ = [
     "MCKEngine",
     "ALGORITHMS",
+    "attach_explain",
     "canonical_algorithm",
-    "dispatch_algorithm",
+    "run_query",
 ]
 
 #: Canonical algorithm names, as used in the paper's figures.
@@ -64,24 +66,136 @@ def canonical_algorithm(algorithm: str) -> str:
         ) from None
 
 
-def dispatch_algorithm(
-    algorithm: str, epsilon: float
-) -> Callable[[QueryContext, Deadline], Group]:
-    """The ``(context, deadline) -> Group`` runner for an algorithm name.
+#: ``(context, epsilon, deadline) -> Group`` runner per canonical name.
+_RUNNERS: Dict[str, Callable[[QueryContext, float, Deadline], Group]] = {
+    "GKG": lambda ctx, eps, dl: gkg(ctx, dl),
+    "SKEC": lambda ctx, eps, dl: skec(ctx, dl),
+    "SKECa": skeca,
+    "SKECa+": skeca_plus,
+    "EXACT": exact,
+}
 
-    Shared by :class:`MCKEngine` and the live engine
-    (:class:`repro.live.engine.LiveMCKEngine`): both compile a query
-    context — against a static dataset or a pinned live snapshot — and
-    hand it to the same unmodified algorithm implementations.
+
+def run_query(
+    compile_context: Callable[[Sequence[str]], QueryContext],
+    keywords: Sequence[str],
+    algorithm: str,
+    epsilon: float,
+    timeout: Optional[float],
+    instrumentation: Optional[Instrumentation],
+    degrade_on_timeout: bool,
+    explain: bool,
+    engine_kind: str,
+    stats: Optional[Dict[str, float]] = None,
+    **span_attrs,
+) -> Group:
+    """The one query pipeline every engine runs: compile, run, degrade, explain.
+
+    ``compile_context(keywords)`` returns the
+    :class:`~repro.core.query.QueryContext` to answer on — the sealed
+    engine's LRU lookup, or the live engine's compile against a pinned
+    snapshot.  ``stats`` are stamped onto the answer's ``group.stats``
+    before they are merged into the instrumentation, and ``span_attrs``
+    go onto the ``engine.algorithm`` span.  See :meth:`MCKEngine.query`
+    for the meaning of the remaining parameters.
     """
-    table: Dict[str, Callable] = {
-        "GKG": lambda ctx, dl: gkg(ctx, dl),
-        "SKEC": lambda ctx, dl: skec(ctx, dl),
-        "SKECa": lambda ctx, dl: skeca(ctx, epsilon, dl),
-        "SKECa+": lambda ctx, dl: skeca_plus(ctx, epsilon, dl),
-        "EXACT": lambda ctx, dl: exact(ctx, epsilon, dl),
-    }
-    return table[canonical_algorithm(algorithm)]
+    canonical = canonical_algorithm(algorithm)
+    runner = _RUNNERS[canonical]
+    explain_tracer = None
+    detach_tracer = False
+    if explain:
+        if instrumentation is None:
+            instrumentation = Instrumentation()
+        explain_tracer = instrumentation.tracer or _tracing.get_tracer()
+        if explain_tracer is None:
+            explain_tracer = _tracing.Tracer()
+            instrumentation.tracer = explain_tracer
+            detach_tracer = True
+    try:
+        with instrumentation_span(
+            instrumentation, "engine.query", algorithm=canonical
+        ) as root_span:
+            compile_started = time.perf_counter()
+            with instrumentation_span(instrumentation, "engine.context_compile"):
+                ctx = compile_context(keywords)
+            compile_seconds = time.perf_counter() - compile_started
+            deadline = Deadline(algorithm, timeout, instrumentation)
+            started = time.perf_counter()
+            try:
+                with instrumentation_span(
+                    instrumentation,
+                    "engine.algorithm",
+                    algorithm=canonical,
+                    kernel=kernel_mode(),
+                    **span_attrs,
+                ):
+                    group = runner(ctx, epsilon, deadline)
+            except AlgorithmTimeout as err:
+                if not degrade_on_timeout or err.incumbent is None:
+                    raise
+                group = err.incumbent
+                group.algorithm = canonical
+                group.quality = err.quality
+                group.stats["degraded"] = 1.0
+                if instrumentation is not None:
+                    instrumentation.count("degraded")
+            finally:
+                elapsed = time.perf_counter() - started
+                if instrumentation is not None:
+                    instrumentation.timings["context_seconds"] = compile_seconds
+                    instrumentation.timings["algorithm_seconds"] = elapsed
+    finally:
+        if detach_tracer:
+            instrumentation.tracer = None
+    group.elapsed_seconds = elapsed
+    if stats:
+        group.stats.update(stats)
+    if instrumentation is not None:
+        instrumentation.merge_group_stats(group.stats)
+    if explain:
+        attach_explain(
+            group, keywords, canonical, epsilon, timeout, instrumentation,
+            engine_kind, compile_seconds + elapsed, explain_tracer,
+            getattr(root_span, "trace_id", None),
+        )
+    return group
+
+
+def attach_explain(
+    group: Group,
+    keywords: Sequence[str],
+    algorithm: str,
+    epsilon: float,
+    timeout: Optional[float],
+    instrumentation: Instrumentation,
+    engine_kind: str,
+    total_seconds: float,
+    tracer=None,
+    trace_id: Optional[str] = None,
+) -> None:
+    """Set ``group.explain_report`` from an answered query's instrumentation.
+
+    The EXPLAIN tail of :func:`run_query`, shared with the scatter-gather
+    router; spans come from ``tracer``'s buffer for ``trace_id``.
+    """
+    timings = dict(instrumentation.timings)
+    timings.setdefault("total_seconds", total_seconds)
+    group.explain_report = build_explain(
+        keywords=[str(k) for k in keywords],
+        algorithm=algorithm,
+        epsilon=epsilon,
+        timeout=timeout,
+        spans=collect_trace_spans(tracer, trace_id),
+        counters=instrumentation.counters,
+        timings=timings,
+        engine_kind=engine_kind,
+        status="degraded" if group.stats.get("degraded") else "ok",
+        quality=group.quality or "",
+        diameter=group.diameter,
+        group_size=len(group.object_ids),
+        object_ids=group.object_ids,
+        trace_id=trace_id or "",
+    )
 
 
 class MCKEngine:
@@ -96,9 +210,11 @@ class MCKEngine:
     [0, 1]
     """
 
-    #: EXPLAIN reports label which engine flavour answered; the live
-    #: engine overrides this with ``"live"``.
-    _ENGINE_KIND = "sealed"
+    #: Which engine flavour answers: ``"sealed"`` here, ``"live"`` on
+    #: :class:`~repro.live.engine.LiveMCKEngine` and ``"scatter"`` on the
+    #: shard router.  EXPLAIN reports carry it, and the serving layer
+    #: reads it to decide whether the engine takes mutations.
+    kind = "sealed"
 
     def __init__(self, dataset: Dataset, context_cache_size: int = 16):
         dataset.finalize()
@@ -166,80 +282,14 @@ class MCKEngine:
             is used when neither the instrumentation nor the process has
             one, so explain works standalone with zero setup.
         """
-        canonical = canonical_algorithm(algorithm)
-        runner = self._dispatch(algorithm, epsilon)
-        explain_tracer = None
-        detach_tracer = False
-        if explain:
-            if instrumentation is None:
-                instrumentation = Instrumentation()
-            explain_tracer = instrumentation.tracer or _tracing.get_tracer()
-            if explain_tracer is None:
-                explain_tracer = _tracing.Tracer()
-                instrumentation.tracer = explain_tracer
-                detach_tracer = True
-        try:
-            with instrumentation_span(
-                instrumentation, "engine.query", algorithm=canonical
-            ) as root_span:
-                compile_started = time.perf_counter()
-                with instrumentation_span(instrumentation, "engine.context_compile"):
-                    ctx = self.context(keywords)
-                compile_seconds = time.perf_counter() - compile_started
-                deadline = Deadline(algorithm, timeout, instrumentation)
-                started = time.perf_counter()
-                try:
-                    with instrumentation_span(
-                        instrumentation,
-                        "engine.algorithm",
-                        algorithm=canonical,
-                        kernel=kernel_mode(),
-                    ):
-                        group = runner(ctx, deadline)
-                except AlgorithmTimeout as err:
-                    if not degrade_on_timeout or err.incumbent is None:
-                        raise
-                    group = err.incumbent
-                    group.algorithm = canonical
-                    group.quality = err.quality
-                    group.stats["degraded"] = 1.0
-                    if instrumentation is not None:
-                        instrumentation.count("degraded")
-                finally:
-                    elapsed = time.perf_counter() - started
-                    if instrumentation is not None:
-                        instrumentation.timings["context_seconds"] = compile_seconds
-                        instrumentation.timings["algorithm_seconds"] = elapsed
-        finally:
-            if detach_tracer:
-                instrumentation.tracer = None
-        group.elapsed_seconds = elapsed
-        if instrumentation is not None:
-            instrumentation.merge_group_stats(group.stats)
-        if explain:
-            trace_id = getattr(root_span, "trace_id", None)
-            spans = collect_trace_spans(explain_tracer, trace_id)
-            timings = dict(instrumentation.timings)
-            timings.setdefault("total_seconds", compile_seconds + elapsed)
-            group.explain_report = build_explain(
-                keywords=[str(k) for k in keywords],
-                algorithm=canonical,
-                epsilon=epsilon,
-                timeout=timeout,
-                spans=spans,
-                counters=instrumentation.counters,
-                timings=timings,
-                engine_kind=self._ENGINE_KIND,
-                status="degraded" if group.stats.get("degraded") else "ok",
-                quality=group.quality or "",
-                diameter=group.diameter,
-                group_size=len(group.object_ids),
-                object_ids=group.object_ids,
-                trace_id=trace_id or "",
-            )
-        return group
-
-    def _dispatch(
-        self, algorithm: str, epsilon: float
-    ) -> Callable[[QueryContext, Deadline], Group]:
-        return dispatch_algorithm(algorithm, epsilon)
+        return run_query(
+            self.context,
+            keywords,
+            algorithm,
+            epsilon,
+            timeout,
+            instrumentation,
+            degrade_on_timeout,
+            explain,
+            self.kind,
+        )

@@ -18,10 +18,12 @@ ever blocking readers:
 * :mod:`repro.live.checkpoint` — crash-safe checkpoints: sealed bases
   persisted as CRC-checksummed segments with an atomic manifest, so a
   restart is a segment load plus short WAL tail replay;
-* :mod:`repro.live.engine` — :class:`LiveMCKEngine`, mirroring
-  :meth:`repro.core.engine.MCKEngine.query` over the mutable store;
-* :mod:`repro.live.sharded` — shard-routed mutations over the
-  distributed grid partitioning.
+* :mod:`repro.live.engine` — :class:`LiveMCKEngine`, answering over
+  the mutable store through the same query pipeline as
+  :class:`repro.core.engine.MCKEngine`.
+
+Sharding the live store is :class:`repro.replication.ReplicatedShardRouter`
+(``replicas_per_shard=0`` for plain routed shards without replicas).
 """
 
 from .base import SealedBase
@@ -29,7 +31,6 @@ from .checkpoint import CheckpointManager, RecoveryReport, read_manifest
 from .compaction import Compactor
 from .delta import DeltaOverlay, LiveIndex, LiveView
 from .engine import LiveMCKEngine
-from .sharded import ShardedLiveStore
 from .snapshots import EpochManager, Snapshot
 from .wal import WalRecord, WriteAheadLog, read_wal
 
@@ -43,7 +44,6 @@ __all__ = [
     "LiveView",
     "RecoveryReport",
     "SealedBase",
-    "ShardedLiveStore",
     "Snapshot",
     "WalRecord",
     "WriteAheadLog",

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from collections import OrderedDict
 from typing import (
     Callable,
@@ -39,16 +38,13 @@ from typing import (
     Tuple,
 )
 
-from ..core.common import Deadline, Instrumentation, instrumentation_span
-from ..core.engine import canonical_algorithm, dispatch_algorithm
+from ..core.common import Instrumentation
+from ..core.engine import run_query
 from ..core.objects import Dataset, GeoObject
 from ..core.query import MCKQuery, QueryContext, compile_query
 from ..core.result import Group
 from ..core.skeca import DEFAULT_EPSILON
-from ..exceptions import AlgorithmTimeout, DatasetError
-from ..kernels import kernel_mode
-from ..observability import tracer as _tracing
-from ..observability.explain import build_explain, collect_trace_spans
+from ..exceptions import DatasetError
 from ..observability.tracer import span
 from .base import SealedBase
 from .checkpoint import CheckpointManager, RecoveryReport
@@ -78,6 +74,9 @@ class LiveMCKEngine:
     >>> sorted(group.object_ids) == sorted([0, oid])
     True
     """
+
+    #: Engine flavour (see :attr:`repro.core.engine.MCKEngine.kind`).
+    kind = "live"
 
     def __init__(
         self,
@@ -591,7 +590,7 @@ class LiveMCKEngine:
         return True
 
     # ------------------------------------------------------------------ #
-    # Query (mirrors MCKEngine.query against a pinned snapshot)
+    # Query (MCKEngine's pipeline against a pinned snapshot)
     # ------------------------------------------------------------------ #
 
     def query(
@@ -612,86 +611,23 @@ class LiveMCKEngine:
         ``explain=True`` attaches ``group.explain_report`` labelled with
         the live engine kind.
         """
-        canonical = canonical_algorithm(algorithm)
-        runner = dispatch_algorithm(algorithm, epsilon)
-        explain_tracer = None
-        detach_tracer = False
-        if explain:
-            if instrumentation is None:
-                instrumentation = Instrumentation()
-            explain_tracer = instrumentation.tracer or _tracing.get_tracer()
-            if explain_tracer is None:
-                explain_tracer = _tracing.Tracer()
-                instrumentation.tracer = explain_tracer
-                detach_tracer = True
-        try:
-            with self._epochs.pin() as snapshot:
-                with instrumentation_span(
-                    instrumentation, "engine.query", algorithm=canonical
-                ) as root_span:
-                    compile_started = time.perf_counter()
-                    with instrumentation_span(
-                        instrumentation, "engine.context_compile"
-                    ):
-                        ctx = self._context(snapshot, keywords)
-                    compile_seconds = time.perf_counter() - compile_started
-                    deadline = Deadline(algorithm, timeout, instrumentation)
-                    started = time.perf_counter()
-                    try:
-                        with instrumentation_span(
-                            instrumentation,
-                            "engine.algorithm",
-                            algorithm=canonical,
-                            kernel=kernel_mode(),
-                            epoch=snapshot.epoch,
-                        ):
-                            group = runner(ctx, deadline)
-                    except AlgorithmTimeout as err:
-                        if not degrade_on_timeout or err.incumbent is None:
-                            raise
-                        group = err.incumbent
-                        group.algorithm = canonical
-                        group.quality = err.quality
-                        group.stats["degraded"] = 1.0
-                        if instrumentation is not None:
-                            instrumentation.count("degraded")
-                    finally:
-                        elapsed = time.perf_counter() - started
-                        if instrumentation is not None:
-                            instrumentation.timings["context_seconds"] = (
-                                compile_seconds
-                            )
-                            instrumentation.timings["algorithm_seconds"] = elapsed
-                group.stats["epoch"] = float(snapshot.epoch)
-                group.stats["delta_size"] = float(snapshot.delta.size)
-        finally:
-            if detach_tracer:
-                instrumentation.tracer = None
-        group.elapsed_seconds = elapsed
-        if instrumentation is not None:
-            instrumentation.merge_group_stats(group.stats)
-        if explain:
-            trace_id = getattr(root_span, "trace_id", None)
-            spans = collect_trace_spans(explain_tracer, trace_id)
-            timings = dict(instrumentation.timings)
-            timings.setdefault("total_seconds", compile_seconds + elapsed)
-            group.explain_report = build_explain(
-                keywords=[str(k) for k in keywords],
-                algorithm=canonical,
-                epsilon=epsilon,
-                timeout=timeout,
-                spans=spans,
-                counters=instrumentation.counters,
-                timings=timings,
-                engine_kind="live",
-                status="degraded" if group.stats.get("degraded") else "ok",
-                quality=group.quality or "",
-                diameter=group.diameter,
-                group_size=len(group.object_ids),
-                object_ids=group.object_ids,
-                trace_id=trace_id or "",
+        with self._epochs.pin() as snapshot:
+            return run_query(
+                lambda kw: self._context(snapshot, kw),
+                keywords,
+                algorithm,
+                epsilon,
+                timeout,
+                instrumentation,
+                degrade_on_timeout,
+                explain,
+                self.kind,
+                stats={
+                    "epoch": float(snapshot.epoch),
+                    "delta_size": float(snapshot.delta.size),
+                },
+                epoch=snapshot.epoch,
             )
-        return group
 
     def _context(
         self, snapshot: Snapshot, keywords: Sequence[str]

@@ -14,8 +14,9 @@ deterministic total order — ``(diameter, sorted oids)``.  A shard that
 misses the budget does not fail the query: the merged answer is tagged
 ``partial`` (the weakest rung of the PR 3 quality ladder) with
 ``stats["shards_missed"]`` saying what was left out.  Cross-shard
-answers were already a lower bound for the plain sharded store; the
-``partial`` tag makes the straggler case honest too.
+answers are the best *per-shard* group (a lower bound when the optimum
+straddles a region boundary); the ``partial`` tag makes the straggler
+case honest too.
 
 **Rebalancing**: :meth:`split_shard` migrates half of a hot region into
 a brand-new group without blocking readers — bootstrap the new group
@@ -46,7 +47,7 @@ from ..core.common import (
     QUALITY_PARTIAL,
     QUALITY_RANK,
 )
-from ..core.engine import canonical_algorithm
+from ..core.engine import attach_explain, canonical_algorithm
 from ..core.result import Group
 from ..core.skeca import DEFAULT_EPSILON
 from ..exceptions import (
@@ -55,11 +56,17 @@ from ..exceptions import (
     InfeasibleQueryError,
 )
 from ..live.engine import MutationListener
-from ..live.sharded import DEFAULT_OID_STRIDE
-from ..observability.explain import build_explain
 from .group import ReplicationGroup
 
-__all__ = ["ReplicatedShardRouter", "RouterView", "SplitReport"]
+__all__ = [
+    "DEFAULT_OID_STRIDE",
+    "ReplicatedShardRouter",
+    "RouterView",
+    "SplitReport",
+]
+
+#: Default per-shard oid range width (~10^12 objects per shard).
+DEFAULT_OID_STRIDE = 1 << 40
 
 
 def _merge_key(group: Group) -> Tuple[float, Tuple[int, ...]]:
@@ -186,7 +193,17 @@ class RouterView:
 
 
 class ReplicatedShardRouter:
-    """Fan queries across replicated shards; split the ones that run hot."""
+    """Fan queries across replicated shards; split the ones that run hot.
+
+    With ``replicas_per_shard=0`` it is the plain sharded live store: one
+    primary :class:`~repro.live.engine.LiveMCKEngine` per grid region,
+    routed mutations, disjoint oid ranges and the same deterministic merge.
+    """
+
+    #: Engine flavour (see :attr:`repro.core.engine.MCKEngine.kind`).
+    #: The router opens no ``engine.query`` span of its own; each shard
+    #: engine records one per fanned-out call.
+    kind = "scatter"
 
     def __init__(
         self,
@@ -344,7 +361,7 @@ class ReplicatedShardRouter:
         inserts: Sequence[Tuple[float, float, Iterable[str]]] = (),
         deletes: Sequence[int] = (),
     ) -> List[int]:
-        """Route a mixed batch; per-shard atomic, like the sharded store."""
+        """Route a mixed batch; atomic per shard, not across shards."""
         with self._mutate_lock:
             by_shard_ins: Dict[int, List] = {}
             order: List[int] = []
@@ -396,6 +413,8 @@ class ReplicatedShardRouter:
         shard answered.
         """
         canonical = canonical_algorithm(algorithm)
+        if explain and instrumentation is None:
+            instrumentation = Instrumentation()
         started = time.perf_counter()
         groups = [
             (gid, g)
@@ -487,28 +506,14 @@ class ReplicatedShardRouter:
         elapsed = time.perf_counter() - started
         best.elapsed_seconds = elapsed
         if instrumentation is not None:
+            # Shards compile their own contexts inside the fan-out window.
+            instrumentation.timings["context_seconds"] = 0.0
+            instrumentation.timings["algorithm_seconds"] = elapsed
             instrumentation.merge_group_stats(best.stats)
         if explain:
-            counters = dict(
-                instrumentation.counters if instrumentation else {}
-            )
-            timings = dict(
-                instrumentation.timings if instrumentation else {}
-            )
-            timings.setdefault("total_seconds", elapsed)
-            best.explain_report = build_explain(
-                keywords=[str(k) for k in keywords],
-                algorithm=canonical,
-                epsilon=epsilon,
-                timeout=timeout,
-                counters=counters,
-                timings=timings,
-                engine_kind="scatter",
-                status="degraded" if best.stats.get("degraded") else "ok",
-                quality=best.quality or "",
-                diameter=best.diameter,
-                group_size=len(best.object_ids),
-                object_ids=best.object_ids,
+            attach_explain(
+                best, keywords, canonical, epsilon, timeout,
+                instrumentation, self.kind, elapsed,
             )
         return best
 

@@ -561,7 +561,7 @@ class MCKServer:
             raise HTTPError(400, f"k must be in [1, {self.topk_limit}]")
         algorithm = request.param("algorithm", "SKECa+")
         policy = request.param("policy", "disjoint")
-        if not hasattr(self.service.engine.dataset, "columns"):
+        if self.service.engine.kind == "scatter":
             # A scatter-gather router's cross-shard view has no columnar
             # compile surface; top-k would need a per-shard merge that
             # the extension does not implement yet.

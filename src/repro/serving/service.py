@@ -7,8 +7,9 @@ answers *streams* of queries instead of one call at a time:
   algorithms release no GIL but spend much of their time in numpy, so
   threads already overlap usefully) and returns results in input order;
 * an optional :class:`~concurrent.futures.ProcessPoolExecutor` offloads
-  EXACT — the only algorithm whose branch-and-bound is CPU-bound pure
-  Python — to worker processes (``use_processes_for_exact=True``);
+  chosen algorithms — typically EXACT, whose branch-and-bound is
+  CPU-bound pure Python — to worker processes
+  (``process_algorithms=("EXACT",)``);
 * identical in-flight queries are coalesced (single-flight) and finished
   answers are kept in an LRU+TTL :class:`~repro.serving.cache.ResultCache`
   keyed by ``(frozenset(keywords), algorithm, epsilon)``;
@@ -55,7 +56,6 @@ from ..exceptions import (
     QueryRejected,
     ReproError,
 )
-from ..live.engine import LiveMCKEngine
 from ..observability import tracer as _tracing
 from ..observability.explain import build_explain, collect_trace_spans
 from ..observability.flight import FlightRecorder
@@ -242,8 +242,9 @@ class QueryService:
         the service additionally accepts mutations (:meth:`insert` /
         :meth:`delete` / :meth:`submit_mutation`), wires the engine's
         mutation stream into keyword-scoped cache invalidation, and
-        forbids ``use_processes_for_exact`` (pool workers would hold a
-        frozen dataset copy).
+        forbids ``process_algorithms`` (pool workers would hold a frozen
+        dataset copy).  The engine's ``kind`` attribute (``"sealed"``,
+        ``"live"`` or ``"scatter"``) tells the service which it holds.
     max_workers:
         Thread-pool width for ``query_many``/``submit`` (default:
         ``min(8, cpu_count)``).
@@ -251,19 +252,16 @@ class QueryService:
         Result-cache capacity and optional per-entry time-to-live in
         seconds; ``cache_size=0`` disables caching (and single-flight
         coalescing) entirely.
-    use_processes_for_exact:
-        Opt-in: run EXACT queries on a :class:`ProcessPoolExecutor` whose
-        workers each hold their own engine.  Worth it only when EXACT
-        dominates the workload; worker start-up re-indexes the dataset.
-        Shorthand for ``process_algorithms=("EXACT",)``.
     process_algorithms:
-        Algorithms to execute on the worker-process pool instead of the
-        thread pool (names are canonicalized).  The HTTP serving tier
-        passes every algorithm it serves so CPU-bound hot loops run off
-        the GIL; the pool-failure retry budget, circuit breaker and
-        in-process SKECa+ fallback apply to all of them.  Mutually
-        exclusive with a live engine (pool workers hold a frozen
-        dataset copy).
+        Algorithms to execute on a :class:`ProcessPoolExecutor` whose
+        workers each hold their own engine, instead of the thread pool
+        (names are canonicalized); ``("EXACT",)`` offloads only the
+        exponential EXACT search.  Worker start-up re-indexes the
+        dataset.  The HTTP serving tier passes every algorithm it serves
+        so CPU-bound hot loops run off the GIL; the pool-failure retry
+        budget, circuit breaker and in-process SKECa+ fallback apply to
+        all of them.  Mutually exclusive with a live engine (pool
+        workers hold a frozen dataset copy).
     admission_capacity:
         Bound on the admission queue (requests accepted but not yet
         executing).  When the queue is full the ``shed_policy`` decides
@@ -311,7 +309,6 @@ class QueryService:
         limiter: Optional[AdaptiveConcurrencyLimiter] = None,
         cache_size: int = 1024,
         cache_ttl: Optional[float] = None,
-        use_processes_for_exact: bool = False,
         process_algorithms: Optional[Sequence[str]] = None,
         process_workers: Optional[int] = None,
         strict_timeouts: bool = False,
@@ -330,32 +327,16 @@ class QueryService:
             self.engine = MCKEngine(source)
         else:
             # Engines pass through: the sealed MCKEngine, the mutable
-            # LiveMCKEngine, or anything live-engine-shaped — e.g. the
-            # scatter-gather ReplicatedShardRouter (duck-typed so the
-            # serving tier does not import the replication subsystem).
+            # LiveMCKEngine or the scatter-gather ReplicatedShardRouter.
             self.engine = source
-        self._live = hasattr(self.engine, "apply_batch") and hasattr(
-            self.engine, "add_mutation_listener"
-        )
-        if hasattr(self.engine, "live_groups"):
-            self._engine_kind = "scatter"
-        elif self._live:
-            self._engine_kind = "live"
-        else:
-            self._engine_kind = "sealed"
+        #: Live and scatter engines take mutations; sealed ones do not.
+        self._live = self.engine.kind != "sealed"
         #: Canonical algorithm names executed on the worker-process pool
-        #: instead of in-process threads.  ``use_processes_for_exact`` is
-        #: the historical spelling of ``process_algorithms=("EXACT",)``;
-        #: the HTTP serving tier passes every algorithm so the CPU-bound
-        #: hot loops run off the GIL.
-        if process_algorithms is not None:
-            self._process_algorithms = frozenset(
-                canonical_algorithm(a) for a in process_algorithms
-            )
-        elif use_processes_for_exact:
-            self._process_algorithms = frozenset(("EXACT",))
-        else:
-            self._process_algorithms = frozenset()
+        #: instead of in-process threads; the HTTP serving tier passes
+        #: every algorithm so the CPU-bound hot loops run off the GIL.
+        self._process_algorithms = frozenset(
+            canonical_algorithm(a) for a in process_algorithms or ()
+        )
         if self._live and self._process_algorithms:
             raise ValueError(
                 "process-pool execution is not supported with a live engine: "
@@ -898,7 +879,7 @@ class QueryService:
                 "algorithm_seconds": stats.algorithm_seconds,
                 "total_seconds": stats.total_seconds,
             },
-            engine_kind=self._engine_kind,
+            engine_kind=self.engine.kind,
             status=status,
             quality=stats.quality,
             diameter=stats.diameter,

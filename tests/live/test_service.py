@@ -56,7 +56,7 @@ class TestMutationPath:
     def test_live_engine_incompatible_with_process_pool(self):
         engine = LiveMCKEngine.from_records(RECORDS)
         with pytest.raises(ValueError):
-            QueryService(engine, use_processes_for_exact=True)
+            QueryService(engine, process_algorithms=("EXACT",))
         engine.close()
 
 

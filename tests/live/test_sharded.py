@@ -1,9 +1,13 @@
-"""Sharded live store: routing, disjoint oid ranges, batch reassembly."""
+"""Sharded live store: routing, disjoint oid ranges, batch reassembly.
+
+The sharded live store is :class:`ReplicatedShardRouter` without
+replicas: one live primary per grid region.
+"""
 
 import pytest
 
 from repro.exceptions import DatasetError, InfeasibleQueryError
-from repro.live import ShardedLiveStore
+from repro.replication import ReplicatedShardRouter
 
 # Four spatial clusters, one per quadrant of a [0,100]^2 extent, so a
 # 4-shard (2x2) grid puts each cluster in its own shard.
@@ -21,9 +25,23 @@ RECORDS = [
 STRIDE = 1 << 20  # small stride keeps test oids readable
 
 
+def _store(records=RECORDS, **kwargs):
+    return ReplicatedShardRouter(
+        records, n_shards=4, replicas_per_shard=0, oid_stride=STRIDE, **kwargs
+    )
+
+
+def _sizes(store):
+    return [store.shard_sizes()[gid] for gid in store.live_shard_ids()]
+
+
+def _epochs(store):
+    return [group.primary_engine.epoch for group in store.live_groups()]
+
+
 @pytest.fixture()
 def store():
-    s = ShardedLiveStore(RECORDS, n_shards=4, oid_stride=STRIDE)
+    s = _store()
     yield s
     s.close()
 
@@ -31,17 +49,17 @@ def store():
 class TestRouting:
     def test_bootstrap_objects_land_in_owner_shards(self, store):
         assert len(store) == len(RECORDS)
-        assert sum(store.shard_sizes()) == len(RECORDS)
+        assert sum(_sizes(store)) == len(RECORDS)
         for x, y, _kw in RECORDS:
             shard = store.route(x, y)
-            assert 0 <= shard < store.n_shards
+            assert shard in store.live_shard_ids()
 
     def test_insert_routes_by_location(self, store):
-        sizes = store.shard_sizes()
+        sizes = _sizes(store)
         oid = store.insert(11.0, 11.0, ["temple"])
         shard = store.route(11.0, 11.0)
         assert store.shard_of(oid) == shard
-        grown = store.shard_sizes()
+        grown = _sizes(store)
         assert grown[shard] == sizes[shard] + 1
         assert sum(grown) == sum(sizes) + 1
 
@@ -89,12 +107,12 @@ class TestBatch:
         assert store.shard_of(oids[0]) == store.route(95.0, 95.0)
 
     def test_cross_shard_batch_touches_each_shard_once(self, store):
-        before = store.epochs()
+        before = _epochs(store)
         store.apply_batch(
             inserts=[(5.0, 5.0, ["probe"]), (6.0, 6.0, ["probe"]),
                      (95.0, 95.0, ["probe"])]
         )
-        after = store.epochs()
+        after = _epochs(store)
         bumps = [b - a for a, b in zip(before, after)]
         assert sorted(bumps) == [0, 0, 1, 1]  # two shards, one epoch each
 
@@ -124,17 +142,13 @@ class TestQuery:
 class TestWalPerShard:
     def test_each_shard_recovers_its_own_wal(self, tmp_path, store):
         wal_dir = str(tmp_path)
-        with ShardedLiveStore(
-            RECORDS, n_shards=4, oid_stride=STRIDE, wal_dir=wal_dir
-        ) as s:
+        with _store(dir=wal_dir) as s:
             nw = s.insert(11.0, 11.0, ["temple"])
             se = s.insert(91.0, 11.0, ["temple"])
             total = len(s)
-        with ShardedLiveStore(
-            RECORDS, n_shards=4, oid_stride=STRIDE, wal_dir=wal_dir
-        ) as s:
+        with _store(dir=wal_dir) as s:
             assert len(s) == total
-            # Recovered objects were adopted back into the routing map.
+            # Recovered objects route back to their shards by oid range.
             assert s.shard_of(nw) == s.route(11.0, 11.0)
             assert s.shard_of(se) == s.route(91.0, 11.0)
             group = s.query(["shrine", "temple"], algorithm="EXACT")
@@ -143,7 +157,7 @@ class TestWalPerShard:
 
 def test_empty_bootstrap_rejected():
     with pytest.raises(DatasetError):
-        ShardedLiveStore([], n_shards=4)
+        ReplicatedShardRouter([], n_shards=4, replicas_per_shard=0)
 
 
 class TestDeterministicTieBreak:
@@ -162,7 +176,7 @@ class TestDeterministicTieBreak:
             (90.0, 10.0, ["tea"]),
             (88.0, 10.0, ["soup"]),
         ]
-        return ShardedLiveStore(records, n_shards=4, oid_stride=STRIDE)
+        return _store(records)
 
     def test_lowest_oid_group_wins_the_tie(self):
         with self._tied_store() as store:

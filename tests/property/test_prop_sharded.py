@@ -1,8 +1,9 @@
 """Properties of the sharded live store.
 
 For ANY interleaving of inserts, deletes and queries, and ANY shard
-count, :class:`~repro.live.sharded.ShardedLiveStore` must behave like a
-plain model plus its documented routing rules:
+count, :class:`~repro.replication.router.ReplicatedShardRouter` without
+replicas (the plain sharded live store) must behave like a plain model
+plus its documented routing rules:
 
 1. **Content equivalence** — the union of per-shard live sets equals a
    brute-force model of the surviving records.
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InfeasibleQueryError
-from repro.live.sharded import ShardedLiveStore
+from repro.replication import ReplicatedShardRouter
 
 #: Bootstrap records fixing the grid extent (and seeding every corner so
 #: partitioning has a non-degenerate extent for any shard count).
@@ -91,13 +92,18 @@ class TestShardedStoreMatchesBruteForceTwin:
         ops=st.lists(_op, max_size=14),
     )
     def test_any_interleaving_any_shard_count(self, n_shards, ops):
-        store = ShardedLiveStore(BOOT, n_shards=n_shards, auto_compact=False)
+        store = ReplicatedShardRouter(
+            BOOT,
+            n_shards=n_shards,
+            replicas_per_shard=0,
+            engine_kwargs={"auto_compact": False},
+        )
         #: The brute-force twin: oid -> (x, y, frozenset(keywords)).
         model = {}
         inserted = []  # oids in insert order, for delete targeting
         try:
-            for shard, engine in enumerate(store.shards):
-                for oid, x, y, kws in engine.dataset.records():
+            for group in store.live_groups():
+                for oid, x, y, kws in group.primary_engine.dataset.records():
                     model[oid] = (x, y, frozenset(kws))
             for op in ops:
                 if op[0] == "insert":
@@ -142,7 +148,8 @@ class TestShardedStoreMatchesBruteForceTwin:
 
             # Content equivalence + routing invariants at the end.
             live = {}
-            for shard, engine in enumerate(store.shards):
+            for shard in store.live_shard_ids():
+                engine = store.groups[shard].primary_engine
                 lo = shard * store.oid_stride
                 hi = (shard + 1) * store.oid_stride
                 for oid, x, y, kws in engine.dataset.records():

@@ -125,6 +125,19 @@ class TestScatterGather:
         assert group.explain_report["execution"]["engine"] == "scatter"
         assert group.explain_report["outcome"]["status"] == "ok"
 
+    def test_explain_without_instrumentation_reports_fanout(self, router):
+        # No instrumentation passed: the router builds a private one, as
+        # the engines do, so the report still carries counters and times.
+        group = router.query(["a", "b"], algorithm="GKG", explain=True)
+        report = group.explain_report
+        counters = report["counters"]["other"]
+        assert counters["fanout_shards"] == 4.0
+        assert counters["fanout_answered"] == group.stats["shards_answered"]
+        timings = report["timings"]
+        assert timings["context_seconds"] == 0.0
+        assert timings["algorithm_seconds"] > 0.0
+        assert timings["total_seconds"] == timings["algorithm_seconds"]
+
 
 class TestSplit:
     def test_split_preserves_answers_and_moves_objects(self):

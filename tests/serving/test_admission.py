@@ -218,6 +218,9 @@ class TestSheddingPolicies:
             max_workers=1,
             policy=DEADLINE_AWARE,
             service_time=lambda key: None,  # no p95 yet
+            # Frozen: a slow dispatch thread must not expire the 1 ms
+            # deadline in the queue; the test is about admission only.
+            clock=lambda: 0.0,
         )
         assert ctrl.submit(lambda: "ok", timeout=0.001).result(WAIT) == "ok"
         ctrl.close()

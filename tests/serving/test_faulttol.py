@@ -14,7 +14,7 @@ QUERY = ["shrine", "shop", "restaurant", "hotel"]
 
 def make_service(kyoto_engine, **kwargs):
     defaults = dict(
-        use_processes_for_exact=True,
+        process_algorithms=("EXACT",),
         process_workers=1,
         pool_retry_backoff=0.0,
         metrics=MetricsRegistry(),

@@ -99,6 +99,18 @@ class TestFlightIntegration:
             max_workers=1,
             admission_capacity=1,
         ) as svc:
+            # Hold the single worker and fill the one queue slot first, so
+            # every query below finds the admission queue full.
+            release = threading.Event()
+            running = threading.Event()
+
+            def hold():
+                running.set()
+                release.wait(30.0)
+
+            held = svc.admission.submit(hold)
+            assert running.wait(30.0)
+            queued = svc.admission.submit(lambda: None)
             rejections = []
 
             def go():
@@ -112,6 +124,9 @@ class TestFlightIntegration:
                 t.start()
             for t in threads:
                 t.join()
+            release.set()
+            held.result(30.0)
+            queued.result(30.0)
         assert rejections, "workload did not overflow the admission queue"
         for exc in rejections:
             trace_id = getattr(exc, "trace_id", "")
@@ -144,7 +159,7 @@ class TestPoolSpanTransport:
             kyoto_engine,
             metrics=MetricsRegistry(),
             tracer=tracer,
-            use_processes_for_exact=True,
+            process_algorithms=("EXACT",),
             process_workers=1,
             pool_retry_backoff=0.0,
         ) as svc:
@@ -176,7 +191,7 @@ class TestPoolSpanTransport:
         with QueryService(
             kyoto_engine,
             metrics=MetricsRegistry(),
-            use_processes_for_exact=True,
+            process_algorithms=("EXACT",),
             process_workers=1,
         ) as svc:
             result = svc.query(

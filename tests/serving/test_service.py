@@ -242,7 +242,7 @@ class TestProcessPool:
         inline = MCKEngine(dataset).query(query, algorithm="EXACT")
         with QueryService(
             dataset,
-            use_processes_for_exact=True,
+            process_algorithms=("EXACT",),
             process_workers=2,
             cache_size=0,
         ) as service:
@@ -258,7 +258,7 @@ class TestProcessPool:
         query = feasible_query(dataset, 4, 3)
         with QueryService(
             dataset,
-            use_processes_for_exact=True,
+            process_algorithms=("EXACT",),
             process_workers=1,
             cache_size=0,
         ) as service:
@@ -334,7 +334,7 @@ class TestObservability:
         tracer = Tracer()
         with QueryService(
             dataset,
-            use_processes_for_exact=True,
+            process_algorithms=("EXACT",),
             process_workers=1,
             cache_size=0,
             tracer=tracer,
