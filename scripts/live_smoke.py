@@ -14,10 +14,11 @@ Five scenarios, all deterministic:
    aborts the fold; the store keeps answering correctly on the
    uncompacted snapshot, and the next (disarmed) attempt folds the delta
    into a fresh sealed base with identical answers.
-4. **Keyword-scoped invalidation.** Through a live ``QueryService``: a
-   mutation touching keyword A drops exactly the cached entries
-   mentioning A (misses on re-ask), leaves disjoint entries hot, and the
-   cache's conservation identity holds.
+4. **Cache revalidation.** Through a live ``QueryService``: an insert
+   too far away to form a smaller group keeps the cached answer (equal
+   to a fresh engine's), one that can form a smaller group drops it
+   (misses on re-ask), disjoint entries stay hot, and the cache's
+   conservation identity holds.
 5. **CLI.** ``mck live-bench --wal ... --inject-fault compaction-fail``
    runs in a subprocess; its JSON dump carries WAL/epoch/compaction
    counters and the cache invalidation count.
@@ -114,21 +115,34 @@ def check_compaction_fault():
 def check_invalidation():
     engine = LiveMCKEngine.from_records(RECORDS)
     with QueryService(engine, max_workers=2) as service:
-        r1 = service.query(["shrine", "shop"])
+        r1 = service.query(["shrine", "shop"], "EXACT")
         r2 = service.query(["restaurant"])
         assert not r1.stats.cache_hit and not r2.stats.cache_hit
-        assert service.query(["shrine", "shop"]).stats.cache_hit
+        assert service.query(["shrine", "shop"], "EXACT").stats.cache_hit
+        # ~28 from every shrine: cannot beat the cached diameter sqrt(2).
+        far = (20.0, 20.0, ["shop"])
+        service.insert(*far)
+        kept = service.query(["shrine", "shop"], "EXACT")
+        assert kept.stats.cache_hit, "answer a far insert cannot change dropped"
+        fresh = LiveMCKEngine.from_records(RECORDS + [far])
+        want = fresh.query(["shrine", "shop"], algorithm="EXACT")
+        assert (kept.group.object_ids, kept.group.diameter) == (
+            want.object_ids, want.diameter
+        ), "kept answer differs from a fresh engine's"
+        fresh.close()
+        # 0.28 from shrine 0: forms a smaller group, so the entry drops.
         service.insert(0.2, 0.2, ["shop"])
-        miss = service.query(["shrine", "shop"])
+        miss = service.query(["shrine", "shop"], "EXACT")
         assert not miss.stats.cache_hit, "stale cached answer served"
         assert service.query(["restaurant"]).stats.cache_hit, \
             "disjoint entry was invalidated"
         st = service.cache.stats()
-        assert st["invalidations"] >= 1
+        assert st["invalidations"] >= 1 and st["revalidated"] >= 1, st
         assert st["inserts"] == st["size"] + st["evictions"] \
             + st["expirations"] + st["invalidations"], f"conservation: {st}"
     engine.close()
-    print("  invalidation: keyword-scoped, conservation counters balance")
+    print("  invalidation: far insert kept, near insert dropped, disjoint "
+          "entry hot, conservation counters balance")
 
 
 def check_cli(tmpdir):

@@ -19,7 +19,7 @@ Subcommands
 ``live-bench``  drive a mixed read/write Poisson workload against a
                 :class:`~repro.live.LiveMCKEngine`-backed service and dump
                 JSON metrics (epochs, delta size, compactions, WAL records,
-                keyword-scoped cache invalidations)
+                cache invalidations and revalidations)
 ``shard-bench`` drive a skewed read/write workload against the
                 scale-out tier (replicated shard router): scatter-gather
                 queries, WAL-shipped replicas, optional mid-workload
@@ -1014,7 +1014,7 @@ def _cmd_live_bench(args) -> int:
         dataset, m=args.m, count=args.queries, seed=args.seed
     )
     # Mutations reuse the workload's keywords so writes actually collide
-    # with cached reads — otherwise the invalidation path never fires.
+    # with cached reads — otherwise the revalidation path never fires.
     terms = sorted({k for q in workload for k in q.keywords})
     coords = dataset.coords
     x_lo, y_lo = float(coords[:, 0].min()), float(coords[:, 1].min())

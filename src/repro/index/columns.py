@@ -36,6 +36,7 @@ class ColumnarStore:
         "dense",
         "_term_nn",
         "_term_rent",
+        "_by_term_x",
     )
 
     def __init__(
@@ -60,6 +61,7 @@ class ColumnarStore:
         #: :meth:`term_nn_dists`.
         self._term_nn: Dict[int, np.ndarray] = {}
         self._term_rent: Dict[int, int] = {}
+        self._by_term_x: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -127,6 +129,33 @@ class ColumnarStore:
         arr, _idx = tree.query(self.coords_of(np.arange(len(self.oids))), k=1)
         self._term_nn[term_id] = arr
         return arr
+
+    def holders_in_slabs(
+        self, term_ids: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The holders of ``term_ids[i]`` whose x lies in ``[x_lo[i], x_hi[i]]``.
+
+        Returns ``(rows, starts, ends)``: pair ``i``'s holders are the row
+        positions ``rows[starts[i]:ends[i]]``.  Every pair is answered by
+        two ``searchsorted`` passes over the postings laid out by (term,
+        x-rank), built on first use; unknown term ids get empty slabs.
+        """
+        n = len(self.oids)
+        if self._by_term_x is None:
+            owner = np.repeat(
+                np.arange(n, dtype=np.int64), np.diff(self.term_indptr)
+            )
+            by_x = np.argsort(self.xs, kind="stable")
+            x_rank = np.empty(n, dtype=np.int64)
+            x_rank[by_x] = np.arange(n, dtype=np.int64)
+            keys = self.term_ids.astype(np.int64) * n + x_rank[owner]
+            order = np.argsort(keys, kind="stable")
+            self._by_term_x = (keys[order], owner[order], self.xs[by_x])
+        keys, rows, sorted_xs = self._by_term_x
+        first = np.asarray(term_ids, dtype=np.int64) * n
+        starts = np.searchsorted(keys, first + np.searchsorted(sorted_xs, x_lo, "left"))
+        ends = np.searchsorted(keys, first + np.searchsorted(sorted_xs, x_hi, "right"))
+        return rows, starts, ends
 
     def positions_of(self, oids) -> np.ndarray:
         """Row positions of the given oids (must all be present)."""

@@ -30,7 +30,7 @@ from .base import SealedBase
 from .checkpoint import CheckpointManager, RecoveryReport, read_manifest
 from .compaction import Compactor
 from .delta import DeltaOverlay, LiveIndex, LiveView
-from .engine import LiveMCKEngine
+from .engine import LiveMCKEngine, Mutation
 from .snapshots import EpochManager, Snapshot
 from .wal import WalRecord, WriteAheadLog, read_wal
 
@@ -42,6 +42,7 @@ __all__ = [
     "LiveIndex",
     "LiveMCKEngine",
     "LiveView",
+    "Mutation",
     "RecoveryReport",
     "SealedBase",
     "Snapshot",

@@ -361,6 +361,65 @@ class LiveView:
     def index(self) -> "LiveIndex":
         return LiveIndex(self)
 
+    def nearest_holder_distances(
+        self, points, terms: Sequence[str], within
+    ) -> np.ndarray:
+        """Distance from ``points[i]`` to its nearest live holder of
+        ``terms[i]``, exact wherever it is at most ``within[i]``; beyond
+        that, some larger value (``inf`` when no holder is in range).
+
+        Base holders are scanned only inside the x-slab ``points[i].x ±
+        within[i]`` (any holder that close in distance lies there), with
+        tombstoned ones masked out; the delta's adds of each term (live by
+        construction) are scanned whole.  Both scans measure every
+        (point, holder) pair in one vectorised pass.
+        """
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        best = np.full(len(pts), math.inf)
+        if not len(pts):
+            return best
+        vocab = self.base.vocabulary
+        tid = {t: vocab.id_of(t) if t in vocab else -1 for t in set(terms)}
+        # Widen the slab past float rounding; the exact test comes after.
+        reach = np.asarray(within, dtype=np.float64)
+        reach = reach + 1e-9 * (reach + np.abs(pts[:, 0]))
+        columns = self.base.columns
+        rows, starts, ends = columns.holders_in_slabs(
+            np.array([tid[t] for t in terms], dtype=np.int64),
+            pts[:, 0] - reach,
+            pts[:, 0] + reach,
+        )
+        alive = None
+        dead = self.delta.tombstones & self.base.objects.keys()
+        if dead:
+            alive = np.ones(len(columns.oids), dtype=bool)
+            dead_ids = np.fromiter(dead, dtype=np.int64, count=len(dead))
+            alive[columns.positions_of(dead_ids)] = False
+        _scan_nearest(
+            best, pts, starts, ends - starts, rows, columns.xs, columns.ys, alive
+        )
+        add_xs: List[float] = []
+        add_ys: List[float] = []
+        spans: Dict[str, Tuple[int, int]] = {}
+        keyword_map = self.delta.keyword_map
+        for term in tid.keys() & keyword_map.keys():
+            oids = keyword_map[term]
+            spans[term] = (len(add_xs), len(oids))
+            for oid in oids:
+                obj = self.delta.adds[oid]
+                add_xs.append(obj.x)
+                add_ys.append(obj.y)
+        if add_xs:
+            empty = (0, 0)
+            starts, lengths = np.array(
+                [spans.get(t, empty) for t in terms], dtype=np.int64
+            ).T
+            _scan_nearest(
+                best, pts, starts, lengths, np.arange(len(add_xs)),
+                np.array(add_xs), np.array(add_ys), None,
+            )
+        return best
+
     @property
     def columns(self) -> ColumnarStore:
         """Merged struct-of-arrays view of this snapshot (lazy, cached).
@@ -426,6 +485,31 @@ class LiveView:
                 oids = merged_oids
             self._columns = ColumnarStore(oids, xs, ys, indptr, terms)
         return self._columns
+
+
+def _scan_nearest(best, pts, starts, lengths, order, xs, ys, alive) -> None:
+    """Lower ``best[r]`` to point ``r``'s nearest holder in its block.
+
+    Row ``r``'s holders are ``order[starts[r]:starts[r] + lengths[r]]``,
+    indexing the ``xs`` / ``ys`` columns; holders whose ``alive`` flag is
+    False are skipped (``alive=None`` skips nothing).  Every (row,
+    holder) pair is measured in one pass, then reduced per row on
+    squared distances.
+    """
+    ends = np.cumsum(lengths)
+    if not len(ends) or not ends[-1]:
+        return
+    holder = order[
+        np.arange(int(ends[-1])) + np.repeat(starts - (ends - lengths), lengths)
+    ]
+    dx = np.repeat(pts[:, 0], lengths) - xs[holder]
+    dy = np.repeat(pts[:, 1], lengths) - ys[holder]
+    gaps = dx * dx + dy * dy
+    if alive is not None:
+        gaps[~alive[holder]] = math.inf
+    filled = lengths > 0
+    nearest = np.sqrt(np.minimum.reduceat(gaps, (ends - lengths)[filled]))
+    best[filled] = np.minimum(best[filled], nearest)
 
 
 class _ViewTermIds:

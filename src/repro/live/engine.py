@@ -33,10 +33,13 @@ from typing import (
     Callable,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from ..core.common import Instrumentation
 from ..core.engine import run_query
@@ -53,12 +56,24 @@ from .delta import DeltaOverlay, LiveView
 from .snapshots import EpochManager, Snapshot
 from .wal import WalRecord, WriteAheadLog
 
-__all__ = ["LiveMCKEngine"]
+__all__ = ["LiveMCKEngine", "Mutation"]
 
 logger = logging.getLogger("repro.live.engine")
 
-#: ``listener(op, oid, keywords)`` — fired after each mutation publishes.
-MutationListener = Callable[[str, int, Tuple[str, ...]], None]
+
+class Mutation(NamedTuple):
+    """One object a published write inserted or deleted."""
+
+    op: str  # "insert" or "delete"
+    oid: int
+    keywords: Tuple[str, ...]  # sorted
+    x: float
+    y: float
+
+
+#: ``listener(mutations)`` — fired once per published write, after it is
+#: visible, with every object that write inserted or deleted.
+MutationListener = Callable[[Tuple[Mutation, ...]], None]
 
 
 class LiveMCKEngine:
@@ -263,7 +278,7 @@ class LiveMCKEngine:
         return self._epochs.current()
 
     def add_mutation_listener(self, listener: MutationListener) -> None:
-        """Register ``listener(op, oid, keywords)`` fired post-publish.
+        """Register ``listener(mutations)`` fired post-publish, once per write.
 
         Listeners run after the new epoch is visible, so a reader racing a
         notification can at worst see *fresher* data than the notification
@@ -326,13 +341,14 @@ class LiveMCKEngine:
                 self._next_oid += 1
                 new_objects.append(GeoObject(oid, float(x), float(y), kw))
 
-            victims: List[Tuple[int, Tuple[str, ...]]] = []
+            gone: List[GeoObject] = []
             for oid in deletes:
                 oid = int(oid)
                 victim = view.get(oid)
                 if victim is None:
                     raise DatasetError(f"cannot delete oid {oid}: not live")
-                victims.append((oid, tuple(sorted(victim.keywords))))
+                gone.append(victim)
+            victims = [(o.oid, tuple(sorted(o.keywords))) for o in gone]
 
             if self.wal is not None:
                 for obj in new_objects:
@@ -353,12 +369,12 @@ class LiveMCKEngine:
                 wal_deletes=len(victims) if self.wal is not None else 0,
             )
 
-        # Outside the write lock: listeners (cache invalidation) and the
+        # Outside the write lock: listeners (cache revalidation) and the
         # compactor must never extend the writer critical section.
-        for obj in new_objects:
-            self._notify("insert", obj.oid, tuple(sorted(obj.keywords)))
-        for oid, kw in victims:
-            self._notify("delete", oid, kw)
+        self._notify(
+            [_mutation("insert", obj) for obj in new_objects]
+            + [_mutation("delete", obj) for obj in gone]
+        )
         self.compactor.notify()
         return [obj.oid for obj in new_objects]
 
@@ -387,7 +403,7 @@ class LiveMCKEngine:
         if not records:
             return 0
         self._check_open()
-        notifications: List[Tuple[str, int, Tuple[str, ...]]] = []
+        notifications: List[Mutation] = []
         with self._write_lock, span(
             "live.apply_replicated", records=len(records), log=log
         ):
@@ -400,7 +416,7 @@ class LiveMCKEngine:
                 current = self._epochs.current()
                 view = current.view()
                 new_objects: List[GeoObject] = []
-                victims: List[Tuple[int, Tuple[str, ...]]] = []
+                gone: List[GeoObject] = []
                 for record in pending:
                     if record.op == "insert":
                         if view.get(record.oid) is not None:
@@ -423,9 +439,8 @@ class LiveMCKEngine:
                                 f"replicated delete of oid {record.oid}: "
                                 "not live"
                             )
-                        victims.append(
-                            (record.oid, tuple(sorted(victim.keywords)))
-                        )
+                        gone.append(victim)
+                victims = [(o.oid, tuple(sorted(o.keywords))) for o in gone]
                 if log and self.wal is not None:
                     for obj in new_objects:
                         self.wal.append_insert(
@@ -452,13 +467,8 @@ class LiveMCKEngine:
                         len(victims) if log and self.wal is not None else 0
                     ),
                 )
-                for obj in new_objects:
-                    notifications.append(
-                        ("insert", obj.oid, tuple(sorted(obj.keywords)))
-                    )
-                notifications.extend(
-                    ("delete", oid, kw) for oid, kw in victims
-                )
+                notifications.extend(_mutation("insert", o) for o in new_objects)
+                notifications.extend(_mutation("delete", o) for o in gone)
                 pending.clear()
                 touched.clear()
 
@@ -473,8 +483,7 @@ class LiveMCKEngine:
                 touched.add(record.oid)
             _flush_pending()
 
-        for op, oid, kw in notifications:
-            self._notify(op, oid, kw)
+        self._notify(notifications)
         self.compactor.notify()
         return len(records)
 
@@ -629,6 +638,16 @@ class LiveMCKEngine:
                 epoch=snapshot.epoch,
             )
 
+    def nearest_holder_distances(
+        self, points, terms: Sequence[str], within
+    ) -> np.ndarray:
+        """Distance from ``points[i]`` to its nearest live holder of
+        ``terms[i]`` on the current snapshot, exact wherever it is at most
+        ``within[i]`` (see :meth:`LiveView.nearest_holder_distances`)."""
+        return self._epochs.current().view().nearest_holder_distances(
+            points, terms, within
+        )
+
     def _context(
         self, snapshot: Snapshot, keywords: Sequence[str]
     ) -> QueryContext:
@@ -720,11 +739,12 @@ class LiveMCKEngine:
         if self._closed:
             raise DatasetError(f"live engine {self.name!r} is closed")
 
-    def _notify(self, op: str, oid: int, keywords: Tuple[str, ...]) -> None:
+    def _notify(self, mutations: List[Mutation]) -> None:
         # Snapshot: a listener detaching itself (service close racing a
         # mutation) must not skip or double-fire its neighbours.
+        batch = tuple(mutations)
         for listener in list(self._listeners):
-            listener(op, oid, keywords)
+            listener(batch)
 
     def _publish_metrics(self, wal_inserts: int = 0, wal_deletes: int = 0) -> None:
         metrics = self.metrics
@@ -760,6 +780,10 @@ class LiveMCKEngine:
                 metrics.segment_crc_failures_counter.inc(
                     report.segment_failures
                 )
+
+
+def _mutation(op: str, obj: GeoObject) -> Mutation:
+    return Mutation(op, obj.oid, tuple(sorted(obj.keywords)), obj.x, obj.y)
 
 
 def _replay(

@@ -42,6 +42,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.common import (
     Instrumentation,
     QUALITY_PARTIAL,
@@ -753,6 +755,22 @@ class ReplicatedShardRouter:
         return max(
             (g.primary_engine.epoch for g in self.live_groups()), default=0
         )
+
+    def nearest_holder_distances(
+        self, points, terms: Sequence[str], within
+    ) -> np.ndarray:
+        """Distance from ``points[i]`` to its nearest live holder of
+        ``terms[i]``, exact wherever it is at most ``within[i]``: the
+        minimum over the shard primaries."""
+        best = np.full(len(terms), math.inf)
+        for group in self.live_groups():
+            best = np.minimum(
+                best,
+                group.primary_engine.nearest_holder_distances(
+                    points, terms, within
+                ),
+            )
+        return best
 
     def add_mutation_listener(self, listener: MutationListener) -> None:
         self._listeners.append(listener)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import traceback
 from concurrent.futures import (
     BrokenExecutor,
     Future,
@@ -56,6 +57,7 @@ from ..exceptions import (
     QueryRejected,
     ReproError,
 )
+from ..live.engine import Mutation
 from ..observability import tracer as _tracing
 from ..observability.explain import build_explain, collect_trace_spans
 from ..observability.flight import FlightRecorder
@@ -68,7 +70,7 @@ from .admission import (
     estimate_cost,
 )
 from .breaker import OPEN, CircuitBreaker
-from .cache import KeywordGenerations, ResultCache, make_cache_key
+from .cache import KeywordGenerations, ResultCache, judge_answers, make_cache_key
 from .stats import MetricsRegistry, QueryStats
 
 __all__ = ["QueryRequest", "ServedResult", "QueryService"]
@@ -241,7 +243,7 @@ class QueryService:
         :class:`~repro.live.engine.LiveMCKEngine`.  With a live engine
         the service additionally accepts mutations (:meth:`insert` /
         :meth:`delete` / :meth:`submit_mutation`), wires the engine's
-        mutation stream into keyword-scoped cache invalidation, and
+        mutation stream into cache revalidation, and
         forbids ``process_algorithms`` (pool workers would hold a frozen
         dataset copy).  The engine's ``kind`` attribute (``"sealed"``,
         ``"live"`` or ``"scatter"``) tells the service which it holds.
@@ -345,8 +347,8 @@ class QueryService:
             )
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Per-keyword generation counters scoping cache invalidation to
-        #: the keywords a mutation actually touched (live engines only).
+        #: Per-keyword generation counters: the staleness fallback behind
+        #: write revalidation (live engines only).
         self.generations = KeywordGenerations() if self._live else None
         self.cache = ResultCache(
             max_size=cache_size,
@@ -559,16 +561,51 @@ class QueryService:
                 "a static MCKEngine"
             )
 
-    def _on_mutation(self, op: str, oid: int, keywords: Tuple[str, ...]) -> None:
-        """Post-publish mutation hook: age every touched keyword.
+    def _on_mutation(self, mutations: Tuple[Mutation, ...]) -> None:
+        """Post-publish mutation hook: re-check the cached answers a write
+        touched, keeping those it cannot change (see
+        :mod:`repro.serving.cache`).
 
         Runs after the new epoch is visible (the engine guarantees the
-        ordering), so by the time a cached entry is condemned its
-        recomputation can only see the new data — never the old.
+        ordering), so every answer is judged against data at least as new
+        as the write, and a dropped entry's recomputation can only see the
+        new data — never the old.
         """
-        if self.generations is not None:
-            self.generations.bump(keywords)
-        _log.debug("live.mutation", op=op, oid=oid, keywords=list(keywords))
+        touched = {kw for m in mutations for kw in m.keywords}
+        lookups = 0
+
+        def judge(entries):
+            nonlocal lookups
+            try:
+                keep, lookups = judge_answers(
+                    entries, mutations, self.engine.nearest_holder_distances
+                )
+            except Exception as err:  # noqa: BLE001 - the write already landed
+                # Fail safe: drop what could not be judged, keep the writer.
+                _log.warning(
+                    "cache.revalidate_failed",
+                    error=repr(err),
+                    traceback=traceback.format_exc(),
+                )
+                keep = [False] * len(entries)
+            return keep
+
+        with self._span(
+            "serve.cache_revalidate", mutations=len(mutations)
+        ) as span:
+            kept, dropped = self.cache.revalidate(touched, judge)
+            span.set_attribute("kept", kept)
+            span.set_attribute("dropped", dropped)
+            span.set_attribute("lookups", lookups)
+        if kept:
+            self.metrics.cache_revalidated_counter.inc(float(kept))
+        _log.debug(
+            "live.mutation",
+            mutations=len(mutations),
+            keywords=sorted(touched),
+            kept=kept,
+            dropped=dropped,
+        )
 
     def metrics_dict(self) -> dict:
         """Aggregate metrics including the cache's current counters."""
@@ -601,7 +638,7 @@ class QueryService:
         if self._closed:
             return
         self._closed = True
-        # Drain first: in-flight queries keep cache-invalidation coverage
+        # Drain first: in-flight queries keep cache-revalidation coverage
         # until the last one resolves, only then is the listener removed.
         self.admission.close()
         if self._live:

@@ -259,7 +259,13 @@ class MetricsRegistry:
         )
         self.cache_invalidation_counter = self.counter(
             "mck_cache_invalidations_total",
-            help="Cached results dropped by keyword-scoped invalidation.",
+            help="Cached results dropped because a write could change them "
+            "(or went stale behind one).",
+        )
+        self.cache_revalidated_counter = self.counter(
+            "mck_cache_revalidated_total",
+            help="Cached results a write touched but provably could not "
+            "change, kept and re-stamped.",
         )
         self.wal_records_counter = self.counter(
             "mck_wal_records_total",

@@ -1,6 +1,7 @@
 """Delta overlay: copy-on-write semantics, merged views, rebase."""
 
 import math
+import random
 
 import pytest
 
@@ -199,6 +200,41 @@ class TestLiveIndex:
         mask = 1 << view.vocabulary.id_of("shop")
         got = index.nearest_with_mask(1.0, 1.0, mask)
         assert got is not None and got.item == 2  # next live shop holder
+
+    def test_nearest_holder_distances_match_a_loop(self):
+        """The vectorised slab scan against a plain loop over live objects:
+        exact wherever the nearest holder is within the bound, never
+        below the true distance beyond it."""
+        rng = random.Random(5)
+        terms = ["a", "b", "c", "d"]
+        records = [
+            (oid, rng.uniform(0, 50), rng.uniform(0, 50), rng.sample(terms, rng.randint(1, 2)))
+            for oid in range(120)
+        ]
+        delta = DeltaOverlay()
+        for oid in rng.sample(range(120), 25):
+            delta = delta.with_delete(oid, tuple(records[oid][3]))
+        for oid in range(200, 230):
+            delta = delta.with_insert(
+                _obj(oid, rng.uniform(0, 50), rng.uniform(0, 50), rng.sample(terms, 1))
+            )
+        view = LiveView(SealedBase.build(records, name="slab"), delta)
+        pairs = [
+            ((rng.uniform(-5, 55), rng.uniform(-5, 55)), rng.choice(terms + ["zz"]), rng.choice([0.0, 3.0, 8.0, math.inf]))
+            for _ in range(300)
+        ]
+        got = view.nearest_holder_distances(
+            [p for p, _t, _w in pairs], [t for _p, t, _w in pairs], [w for _p, _t, w in pairs]
+        )
+        for ((x, y), term, within), dist in zip(pairs, got):
+            want = min(
+                (math.hypot(o.x - x, o.y - y) for o in view if term in o.keywords),
+                default=math.inf,
+            )
+            if want <= within:
+                assert dist == pytest.approx(want, rel=1e-12, abs=1e-12)
+            else:
+                assert dist >= want * (1 - 1e-12)
 
     def test_keyword_holders(self, base):
         delta = (

@@ -7,7 +7,7 @@ import pytest
 
 from repro import Dataset, MCKEngine
 from repro.exceptions import DatasetError, InfeasibleQueryError
-from repro.live import LiveMCKEngine
+from repro.live import LiveMCKEngine, Mutation
 
 RECORDS = [
     (10.0, 10.0, ["shrine"]),
@@ -109,12 +109,12 @@ class TestMutations:
 
     def test_mutation_listener_fires_post_publish(self, live):
         seen = []
-        live.add_mutation_listener(lambda op, oid, kw: seen.append((op, oid, kw)))
+        live.add_mutation_listener(seen.append)
         oid = live.insert(1.0, 1.0, ["cafe", "bar"])
         live.delete(oid)
         assert seen == [
-            ("insert", oid, ("bar", "cafe")),
-            ("delete", oid, ("bar", "cafe")),
+            (Mutation("insert", oid, ("bar", "cafe"), 1.0, 1.0),),
+            (Mutation("delete", oid, ("bar", "cafe"), 1.0, 1.0),),
         ]
 
     def test_closed_engine_rejects_mutations(self):

@@ -1,5 +1,5 @@
 """QueryService over a live engine: mutations through admission control
-and keyword-scoped cache invalidation."""
+and cache revalidation after each write."""
 
 import pytest
 
@@ -61,19 +61,46 @@ class TestMutationPath:
 
 
 class TestInvalidation:
+    """A write drops a cached answer only when it could change it.
+
+    The cached ``[shrine, shop]`` answer is objects 0 and 1, diameter
+    ~1.118.  A shop at (10.2, 10.2) sits 0.28 from shrine 0 and forms a
+    smaller group; a shop at (30, 30) is ~28 from every shrine and cannot.
+    """
+
+    NEAR_SHOP = (10.2, 10.2, ["shop"])
+    FAR_SHOP = (30.0, 30.0, ["shop"])
+
     def test_mutation_invalidates_only_touching_keywords(self, service):
         service.query(["shrine", "shop"])
         service.query(["restaurant"])
         assert service.query(["shrine", "shop"]).stats.cache_hit
         assert service.query(["restaurant"]).stats.cache_hit
-        service.insert(30.0, 30.0, ["shop"])
+        service.insert(*self.NEAR_SHOP)
         assert not service.query(["shrine", "shop"]).stats.cache_hit
         assert service.query(["restaurant"]).stats.cache_hit
 
+    def test_far_insert_keeps_entry_equal_to_fresh_answer(self, service):
+        service.query(["shrine", "shop"], algorithm="EXACT")
+        service.insert(*self.FAR_SHOP)
+        kept = service.query(["shrine", "shop"], algorithm="EXACT")
+        assert kept.stats.cache_hit
+        fresh = LiveMCKEngine.from_records(RECORDS + [self.FAR_SHOP]).query(
+            ["shrine", "shop"], algorithm="EXACT"
+        )
+        assert kept.group.object_ids == fresh.object_ids
+        assert kept.group.diameter == fresh.diameter
+        assert service.cache.stats()["revalidated"] == 1
+
     def test_delete_also_invalidates(self, service):
         service.query(["shrine", "shop"])
-        service.delete(5)  # a shop holder
+        service.delete(1)  # the shop in the cached answer
         assert not service.query(["shrine", "shop"]).stats.cache_hit
+
+    def test_delete_of_non_member_keeps_entry(self, service):
+        service.query(["shrine", "shop"])
+        service.delete(5)  # a shop holder outside the cached answer
+        assert service.query(["shrine", "shop"]).stats.cache_hit
 
     def test_generations_bumped_per_touched_keyword(self, service):
         service.insert(1.0, 1.0, ["cafe", "bar"])
@@ -83,18 +110,25 @@ class TestInvalidation:
 
     def test_invalidation_counter_reaches_metrics(self, service):
         service.query(["shrine", "shop"])
-        service.insert(30.0, 30.0, ["shop"])
-        service.query(["shrine", "shop"])  # probe drops the stale entry
+        service.insert(*self.NEAR_SHOP)
+        service.query(["shrine", "shop"])  # misses: the write dropped it
         rendered = service.metrics.to_prometheus()
         assert "mck_cache_invalidations_total 1" in rendered
+        service.insert(*self.FAR_SHOP)
+        assert service.query(["shrine", "shop"]).stats.cache_hit
+        rendered = service.metrics.to_prometheus()
+        assert "mck_cache_invalidations_total 1" in rendered
+        assert "mck_cache_revalidated_total 1" in rendered
 
     def test_conservation_identity_holds(self, service):
         for _ in range(3):
             service.query(["shrine", "shop"])
             service.query(["restaurant"])
-            service.insert(30.0, 30.0, ["shop"])
+            service.insert(*self.FAR_SHOP)
+            service.insert(*self.NEAR_SHOP)
         st = service.cache.stats()
         assert st["invalidations"] >= 2
+        assert st["revalidated"] >= 2
         assert st["inserts"] == (
             st["size"] + st["evictions"] + st["expirations"]
             + st["invalidations"]

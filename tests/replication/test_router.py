@@ -218,7 +218,7 @@ class TestServingSurface:
     def test_mutation_listeners_fire_across_shards(self, router):
         events = []
         router.add_mutation_listener(
-            lambda op, oid, kws: events.append((op, oid))
+            lambda mutations: events.extend((m.op, m.oid) for m in mutations)
         )
         a = router.insert(1.0, 1.0, ["a"])
         b = router.insert(99.0, 99.0, ["b"])

@@ -47,7 +47,7 @@ class TestListenerDetachment:
     def test_remove_listener_is_idempotent(self):
         engine = LiveMCKEngine.from_records(RECORDS)
 
-        def listener(op, oid, keywords):
+        def listener(mutations):
             pass
 
         engine.add_mutation_listener(listener)
@@ -59,8 +59,8 @@ class TestListenerDetachment:
         engine = LiveMCKEngine.from_records(RECORDS)
         fired = []
 
-        def once(op, oid, keywords):
-            fired.append(oid)
+        def once(mutations):
+            fired.extend(m.oid for m in mutations)
             engine.remove_mutation_listener(once)
 
         engine.add_mutation_listener(once)
