@@ -42,17 +42,21 @@ class InvertedIndex:
         #: Sorted int64 posting columns, materialised lazily per term and
         #: dropped whenever the term's list changes.
         self._columns: Dict[int, np.ndarray] = {}
+        #: True while every list is sorted and deduplicated.
+        self._finalized = True
 
     def add_object(self, object_id: int, term_ids: Iterable[int]) -> None:
         for tid in term_ids:
             self._postings.setdefault(tid, []).append(object_id)
             self._columns.pop(tid, None)
+        self._finalized = False
 
     def finalize(self) -> None:
         """Sort and deduplicate all posting lists (idempotent)."""
         for tid, lst in self._postings.items():
             if len(lst) > 1:
                 self._postings[tid] = sorted(set(lst))
+        self._finalized = True
 
     def posting(self, term_id: int) -> List[int]:
         """Object ids containing ``term_id`` (empty list when unseen)."""
@@ -62,8 +66,9 @@ class InvertedIndex:
         """The posting list as a sorted, deduplicated int64 column."""
         col = self._columns.get(term_id)
         if col is None:
-            lst = self._postings.get(term_id, ())
-            col = np.unique(np.asarray(lst, dtype=np.int64))
+            col = np.asarray(self._postings.get(term_id, ()), dtype=np.int64)
+            if not self._finalized:
+                col = np.unique(col)
             self._columns[term_id] = col
         return col
 

@@ -250,5 +250,5 @@ def load_segment(path: str):
     base.inverted.finalize()
     # The columns were serialized oid-sorted, exactly the layout
     # SealedBase.columns would lazily build — install them directly.
-    base._columns = ColumnarStore(oids, xs, ys, indptr, term_ids)
+    base.install_columns(ColumnarStore(oids, xs, ys, indptr, term_ids))
     return base

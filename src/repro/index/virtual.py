@@ -23,7 +23,8 @@ scans run on the packed coordinate array).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +74,6 @@ class VirtualBRTree:
         self.masks_np = masks_np
         self._tree = tree
         self._max_entries = max_entries
-        self._row_of: Dict[int, int] = {oid: i for i, oid in enumerate(object_ids)}
 
     @property
     def tree(self) -> BRStarTree:
@@ -215,16 +215,19 @@ class VirtualBRTree:
         return len(self.object_ids)
 
     def row_of(self, object_id: int) -> int:
-        """The O' row index of a relevant object id."""
-        return self._row_of[object_id]
+        """The O' row index of a relevant object id (``object_ids`` is sorted)."""
+        row = bisect_left(self.object_ids, object_id)
+        if row == len(self.object_ids) or self.object_ids[row] != object_id:
+            raise KeyError(object_id)
+        return row
 
     def mask_of(self, object_id: int) -> int:
         """The query-local keyword mask of a relevant object."""
-        return self.masks[self._row_of[object_id]]
+        return self.masks[self.row_of(object_id)]
 
     def location_of(self, object_id: int):
         """The (x, y) location of a relevant object."""
-        row = self._row_of[object_id]
+        row = self.row_of(object_id)
         return (self.coords[row, 0], self.coords[row, 1])
 
     def rows_within(self, cx: float, cy: float, r: float) -> np.ndarray:

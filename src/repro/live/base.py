@@ -114,6 +114,16 @@ class SealedBase:
                 )
             return self._columns
 
+    def install_columns(self, columns: ColumnarStore) -> None:
+        """Adopt an already-built oid-sorted store as :attr:`columns`.
+
+        For builders that hold the columns anyway (a loaded segment, a
+        compaction folding the previous base's store); the store must be
+        exactly what the lazy build would produce.
+        """
+        with self._columns_lock:
+            self._columns = columns
+
     def brtree(self, fanout: int = 100) -> BRStarTree:
         """Whole-base bR*-tree over global keyword masks (lazy, cached)."""
         with self._brtree_lock:

@@ -9,7 +9,10 @@ lazily — the bR*-tree) from a *snapshot* of the merged view:
 
 1. take the current snapshot (no locks held while sealing — writers keep
    publishing new epochs during the rebuild);
-2. seal ``snapshot.view().records()`` into a new base off-thread;
+2. seal ``snapshot.view().records()`` into a new base off-thread, and
+   hand it its columnar store folded in numpy from the old base's store
+   and the delta's add rows (:meth:`~repro.live.delta.LiveView.columns_in`)
+   instead of rebuilding it object by object;
 3. under the engine's write lock, :meth:`~repro.live.delta.DeltaOverlay.
    rebase` whatever delta accumulated *meanwhile* onto the new base and
    publish — readers atomically switch to the compacted version.
@@ -115,9 +118,11 @@ class Compactor:
                     delta_size=snapshot.delta.size,
                     base_size=len(snapshot.base),
                 ):
+                    view = snapshot.view()
                     new_base = SealedBase.build(
-                        snapshot.view().records(), name=snapshot.base.name
+                        view.records(), name=snapshot.base.name
                     )
+                    new_base.install_columns(view.columns_in(new_base.vocabulary))
                     # Swap under the write lock: mutations that landed
                     # while we sealed survive as the rebased residual.
                     with self._engine._write_lock:

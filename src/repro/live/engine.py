@@ -131,7 +131,7 @@ class LiveMCKEngine:
         self.recovery_report: Optional[RecoveryReport] = None
         self._recovery_metrics_pushed = False
 
-        delta = DeltaOverlay()
+        delta: Optional[DeltaOverlay] = None
         covered_seq = 0
         tail: Sequence[WalRecord] = ()
         if data_dir is not None:
@@ -178,6 +178,8 @@ class LiveMCKEngine:
                     )
         if self.recovery_report is not None:
             self.recovery_report.state = "complete"
+        if delta is None:
+            delta = DeltaOverlay(vocab=base.vocabulary)
 
         self._next_oid = next_oid
         self._epochs = EpochManager(
@@ -635,6 +637,9 @@ class LiveMCKEngine:
                     "epoch": float(snapshot.epoch),
                     "delta_size": float(snapshot.delta.size),
                 },
+                compile_attrs=lambda ctx: snapshot.view().compile_stats(
+                    ctx.query.keywords
+                ),
                 epoch=snapshot.epoch,
             )
 

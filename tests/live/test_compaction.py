@@ -2,8 +2,10 @@
 
 import threading
 
+import numpy as np
 import pytest
 
+from repro.index.columns import ColumnarStore
 from repro.live import LiveMCKEngine
 from repro.testing import faults
 
@@ -96,6 +98,25 @@ class TestFolding:
             engine.compact()
             b = engine.insert(6.0, 6.0, ["a"])
             assert b == a + 1
+
+
+    def test_new_base_is_handed_its_columns(self):
+        """The compacted base's store is folded from the old one, equal to
+        what the lazy build would produce (delta-only terms included)."""
+        with _engine() as engine:
+            engine.insert(5.0, 5.0, ["cafe", "shop"])
+            engine.insert(6.0, 1.0, ["bar"])
+            engine.delete(1)
+            assert engine.compact()
+            base = engine.snapshot().base
+            installed = base._columns
+            assert installed is not None
+            want = ColumnarStore.from_rows(
+                (oid, obj.x, obj.y, base.term_ids_of(oid))
+                for oid, obj in sorted(base.objects.items())
+            )
+            for name in ("oids", "xs", "ys", "term_indptr", "term_ids"):
+                assert np.array_equal(getattr(installed, name), getattr(want, name))
 
 
 class TestConcurrentMutation:

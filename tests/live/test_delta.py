@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.objects import GeoObject
 from repro.exceptions import DatasetError
+from repro.index.columns import ColumnarStore
 from repro.live.base import SealedBase
 from repro.live.delta import DeltaOverlay, LiveView
 
@@ -211,17 +213,30 @@ class TestLiveIndex:
             (oid, rng.uniform(0, 50), rng.uniform(0, 50), rng.sample(terms, rng.randint(1, 2)))
             for oid in range(120)
         ]
-        delta = DeltaOverlay()
+        base = SealedBase.build(records, name="slab")
+        delta = DeltaOverlay(vocab=base.vocabulary)
         for oid in rng.sample(range(120), 25):
             delta = delta.with_delete(oid, tuple(records[oid][3]))
-        for oid in range(200, 230):
-            delta = delta.with_insert(
-                _obj(oid, rng.uniform(0, 50), rng.uniform(0, 50), rng.sample(terms, 1))
+        # Many adds (some with a delta-only term), a third of them deleted
+        # again, in batches: the add rows are slab-filtered like the base.
+        for first in range(200, 400, 20):
+            batch = [
+                _obj(
+                    oid, rng.uniform(0, 50), rng.uniform(0, 50),
+                    rng.sample(terms + ["new"], rng.randint(1, 2)),
+                )
+                for oid in range(first, first + 20)
+            ]
+            delta = delta.with_batch(inserts=batch)
+            victims = rng.sample(sorted(delta.adds), 7)
+            delta = delta.with_batch(
+                deletes=[(oid, tuple(delta.adds[oid].keywords)) for oid in victims]
             )
-        view = LiveView(SealedBase.build(records, name="slab"), delta)
+        assert len(delta.add_rows) == len(delta.adds) == 130
+        view = LiveView(base, delta)
         pairs = [
-            ((rng.uniform(-5, 55), rng.uniform(-5, 55)), rng.choice(terms + ["zz"]), rng.choice([0.0, 3.0, 8.0, math.inf]))
-            for _ in range(300)
+            ((rng.uniform(-5, 55), rng.uniform(-5, 55)), rng.choice(terms + ["new", "zz"]), rng.choice([0.0, 3.0, 8.0, math.inf]))
+            for _ in range(400)
         ]
         got = view.nearest_holder_distances(
             [p for p, _t, _w in pairs], [t for _p, t, _w in pairs], [w for _p, _t, w in pairs]
@@ -252,6 +267,29 @@ class TestLiveIndex:
         index = LiveView(base, delta).index()
         assert index.item_mask(1) == 0
         assert index.item_mask(0) != 0
+
+
+def test_columns_in_equals_from_rows_of_the_seal(base):
+    """Compaction's numpy-folded store is the one the new base would build."""
+    delta = (
+        DeltaOverlay(vocab=base.vocabulary)
+        .with_insert(_obj(10, 5.0, 5.0, ["zoo", "cafe", "shop"]))
+        .with_insert(_obj(11, 6.0, 7.0, ["bar"]))
+        .with_insert(_obj(12, 1.0, 9.0, ["cafe"]))
+        .with_delete(1, ("shop",))
+        .with_delete(11, ("bar",))     # a deleted add's delta-only term
+        .with_delete(3, ("hotel",))    # the only holder of a base term
+    )
+    view = LiveView(base, delta)
+    new_base = SealedBase.build(view.records(), name="resealed")
+    got = view.columns_in(new_base.vocabulary)
+    want = ColumnarStore.from_rows(
+        (oid, obj.x, obj.y, new_base.term_ids_of(oid))
+        for oid, obj in sorted(new_base.objects.items())
+    )
+    for name in ("oids", "xs", "ys", "term_indptr", "term_ids"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.term_ids.dtype == want.term_ids.dtype
 
 
 class TestRebase:

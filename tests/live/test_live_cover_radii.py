@@ -1,7 +1,8 @@
 """Coverage radii on a live view match the definition and a sealed rebuild.
 
-A live view's columnar store is merged per epoch, so its rent-or-buy
-nearest-holder columns start empty after every write.  Radii must not
+A live view's columns are per snapshot (the base store plus the delta's
+add rows), so its rent-or-buy nearest-holder columns start empty after
+every write.  Radii must not
 depend on which source answers: before and after the store buys a column
 they equal the brute-force definition and a sealed ``Dataset`` rebuilt
 from the same live object set.
