@@ -16,7 +16,7 @@ wall clock):
    ``mck_circuit_open`` reads 1.
 5. **Worker crash.** A distributed worker crashes once; the coordinator
    respawns it and the answer matches the healthy run.
-6. **CLI.** ``mck serve-bench --inject-fault slow-scan --prom-out`` runs
+6. **CLI.** ``mck bench --inject-fault slow-scan --prom-out`` runs
    in a subprocess; its JSON reports degraded queries and its Prometheus
    file carries the degradation counter.
 
@@ -189,10 +189,10 @@ def check_cli(tmp):
             sys.executable,
             "-m",
             "repro.cli",
-            "serve-bench",
+            "bench",
             "--scale", "0.01",
             "--queries", "6",
-            "--repeat", "1",
+            "--operations", "6",
             "--m", "3",
             "--algorithms", "SKECa+",
             "--timeout", "0.002",
@@ -207,16 +207,16 @@ def check_cli(tmp):
         timeout=300,
     )
     if proc.returncode != 0:
-        fail(f"serve-bench exited {proc.returncode}: {proc.stderr[-800:]}")
+        fail(f"bench exited {proc.returncode}: {proc.stderr[-800:]}")
     dump = json.loads(Path(json_path).read_text())
     degraded = dump["workload"]["degraded"]
     if degraded < 1:
-        fail("serve-bench under slow-scan + tight timeout degraded nothing")
+        fail("bench under slow-scan + tight timeout degraded nothing")
     if dump["workload"]["injected_faults"] != ["slow-scan:delay=0.01,times=0"]:
         fail("injected fault spec not recorded in the workload summary")
     prom = Path(prom_path).read_text()
     if "mck_degraded_total{" not in prom:
-        fail("mck_degraded_total missing from serve-bench --prom-out")
+        fail("mck_degraded_total missing from bench --prom-out")
     print(f"  cli: degraded={degraded} prom={len(prom.splitlines())} lines")
 
 

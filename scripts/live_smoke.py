@@ -19,7 +19,7 @@ Five scenarios, all deterministic:
    to a fresh engine's), one that can form a smaller group drops it
    (misses on re-ask), disjoint entries stay hot, and the cache's
    conservation identity holds.
-5. **CLI.** ``mck live-bench --wal ... --inject-fault compaction-fail``
+5. **CLI.** ``mck bench --stack live --wal ... --inject-fault compaction-fail``
    runs in a subprocess; its JSON dump carries WAL/epoch/compaction
    counters and the cache invalidation count.
 
@@ -146,20 +146,21 @@ def check_invalidation():
 
 
 def check_cli(tmpdir):
-    out = os.path.join(tmpdir, "live-bench.json")
+    out = os.path.join(tmpdir, "bench.json")
     wal = os.path.join(tmpdir, "bench.wal")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "live-bench",
+        [sys.executable, "-m", "repro", "bench", "--stack", "live",
          "--scale", "0.01", "--operations", "60", "--queries", "8",
+         "--write-ratio", "0.5",
          "--compact-threshold", "12", "--wal", wal,
          "--inject-fault", "compaction-fail:times=1",
          "--seed", "3", "--output", out],
         env=env, capture_output=True, text=True, timeout=600,
     )
     if proc.returncode != 0:
-        fail(f"live-bench exited {proc.returncode}: {proc.stderr[-800:]}")
+        fail(f"bench exited {proc.returncode}: {proc.stderr[-800:]}")
     dump = json.loads(Path(out).read_text())
     live = dump["live"]
     if not (live["wal_records"] and live["wal_records"] > 0):
@@ -174,8 +175,8 @@ def check_cli(tmpdir):
     if st["inserts"] != st["size"] + st["evictions"] + st["expirations"] \
             + st["invalidations"]:
         fail(f"CLI cache conservation broken: {st}")
-    print("  CLI: live-bench JSON carries WAL/epoch/compaction/invalidation "
-          "counters")
+    print("  CLI: bench --stack live JSON carries WAL/epoch/compaction/"
+          "invalidation counters")
 
 
 def main():

@@ -14,7 +14,7 @@ Four scenarios over a single-worker service (deterministic queueing):
    ``reject-newest``: the deadline-aware policy sheds requests that could
    not have met their deadline anyway, so a strictly higher fraction of
    its *accepted* requests finish inside the deadline.
-4. **CLI.** ``mck serve-bench --arrival-rate ... --admission-capacity
+4. **CLI.** ``mck bench --arrival-rate ... --admission-capacity
    ... --shed-policy ...`` runs open-loop in a subprocess; its JSON dump
    carries the rejection counts and conserved admission counters, and its
    ``--prom-out`` exposition carries every admission metric family.
@@ -254,10 +254,10 @@ def check_cli(tmp):
             sys.executable,
             "-m",
             "repro.cli",
-            "serve-bench",
+            "bench",
             "--scale", "0.01",
             "--queries", "30",
-            "--repeat", "2",
+            "--operations", "60",
             "--m", "3",
             "--workers", "1",
             "--cache-size", "0",
@@ -276,7 +276,7 @@ def check_cli(tmp):
         timeout=300,
     )
     if proc.returncode != 0:
-        fail(f"serve-bench exited {proc.returncode}: {proc.stderr[-800:]}")
+        fail(f"bench exited {proc.returncode}: {proc.stderr[-800:]}")
     dump = json.loads(Path(json_path).read_text())
     workload = dump["workload"]
     if workload["shed_policy"] != "reject-newest":
@@ -294,7 +294,7 @@ def check_cli(tmp):
         "mck_concurrency_limit",
     ):
         if family not in prom:
-            fail(f"{family} missing from serve-bench --prom-out")
+            fail(f"{family} missing from bench --prom-out")
     print(
         f"  cli: rejected={workload['rejected']} of "
         f"{workload['requests_total']} prom={len(prom.splitlines())} lines"

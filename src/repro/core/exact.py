@@ -76,7 +76,7 @@ def exact_from_state(
             enclosing_circle=skeca_group.enclosing_circle,
         )
         # Emit the search counters (as zeros) on this path too; the
-        # experiment runner and serve-bench aggregates read them from
+        # experiment runner and bench aggregates read them from
         # every EXACT answer.
         result.stats["candidate_circles"] = 0.0
         result.stats["pruned_poles"] = 0.0

@@ -69,7 +69,7 @@ class ExperimentRunner:
         if metrics is None:
             # Shared process-wide registry so figure functions that build
             # their own runners still report through one sink (the
-            # benchmark suite and `mck serve-bench` dump it as JSON).
+            # benchmark suite and `mck bench` dump it as JSON).
             from ..serving.stats import MetricsRegistry
 
             metrics = MetricsRegistry.default()

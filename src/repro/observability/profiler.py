@@ -20,8 +20,8 @@ Usage::
         run_workload()
     prof.write_collapsed("profile.folded")
 
-``mck serve-bench --profile out.folded`` and ``live-bench --profile``
-wire this around the whole benchmark run.
+``mck bench --profile out.folded`` wires this around the operation
+stream.
 """
 
 from __future__ import annotations

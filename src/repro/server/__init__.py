@@ -3,14 +3,12 @@
 The package is dependency-light by design — :mod:`repro.server.http`
 hand-rolls the HTTP/1.1 subset a JSON API needs over asyncio streams,
 :mod:`repro.server.app` mounts the query/mutate/top-k/health/metrics
-routes on a :class:`~repro.serving.QueryService`, and
-:mod:`repro.server.loadgen` drives it with open-loop Poisson traffic
-for benchmarks and smoke tests.
+routes on a :class:`~repro.serving.QueryService`.  ``mck bench --http``
+(:mod:`repro.bench`) drives it with open-loop Poisson traffic.
 """
 
 from .app import MCKServer, ServerHandle
 from .http import HTTPError, HTTPRequest, read_request, render_response
-from .loadgen import HTTPLoadResult, run_http_load
 
 __all__ = [
     "MCKServer",
@@ -19,6 +17,4 @@ __all__ = [
     "HTTPRequest",
     "read_request",
     "render_response",
-    "HTTPLoadResult",
-    "run_http_load",
 ]

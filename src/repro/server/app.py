@@ -196,7 +196,7 @@ class MCKServer:
     def run_in_thread(self) -> ServerHandle:
         """Start in a dedicated event-loop thread; returns the handle.
 
-        The pattern tests, smoke scripts and ``mck serve-bench --http``
+        The pattern tests, smoke scripts and ``mck bench --http``
         share: the caller keeps its (synchronous) thread and talks to the
         server over a real socket.
         """

@@ -10,7 +10,7 @@ A :class:`MetricsRegistry` folds those records into two parallel views:
 
 * per-algorithm aggregates (exact latency mean/p50/p95 over the retained
   samples, counter sums) — the JSON document the experiment harness, the
-  benchmark suite and the ``mck serve-bench`` subcommand all dump;
+  benchmark suite and the ``mck bench`` subcommand all dump;
 * histogram / counter / gauge *families*
   (:mod:`repro.observability.metrics`) with fixed log-scale buckets and
   ``algorithm`` / ``cache`` labels — constant memory regardless of query

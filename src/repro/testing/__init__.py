@@ -2,7 +2,7 @@
 
 :mod:`repro.testing.faults` is the fault-injection (chaos) harness: the
 production code exposes named failure points which stay inert until a
-test — or ``mck serve-bench --inject-fault`` — arms them.
+test — or ``mck bench --inject-fault`` — arms them.
 """
 
 from . import faults
