@@ -12,13 +12,17 @@ Checks, in order:
 3. the Prometheus text parses line-by-line: every sample line matches the
    exposition grammar (with or without a trailing ``# {...}`` OpenMetrics
    exemplar), ``mck_query_latency_seconds`` has cumulative histogram
-   buckets and both ``cache="hit"`` and ``cache="miss"`` series.
+   buckets and both ``cache="hit"`` and ``cache="miss"`` series;
+4. sweeps batch their poles: at most one ``circlescan`` span per warm-up
+   or binary step, and one ``exact.candidate_enumeration`` span (with a
+   ``poles`` count) per batch.
 
 Run from the repo root: ``python scripts/trace_smoke.py [algorithm]``.
 """
 
 import json
 import os
+from collections import Counter as _Counter
 import re
 import subprocess
 import sys
@@ -112,6 +116,28 @@ def main() -> int:
         }
         if not (names & algo_spans):
             fail(f"no algorithm-level spans in {sorted(names)}")
+
+        # Sweeps batch their poles: at most one circlescan span per
+        # warm-up or binary step, one candidate-enumeration span per batch.
+        count = _Counter(e["name"] for e in spans)
+        steps = (
+            count["skecaplus.warmup"]
+            + count["skecaplus.binary_step"]
+            + count["skeca.binary_step"]
+        )
+        if count["circlescan"] > steps:
+            fail(f"{count['circlescan']} circlescan spans for {steps} steps")
+        for event in spans:
+            if event["name"] == "exact.candidate_enumeration" and (
+                "poles" not in event.get("args", {})
+            ):
+                fail(f"candidate enumeration span without a pole count: {event}")
+        if count["exact.candidate_enumeration"] > count["exact.skeca_plus_bound"]:
+            fail(
+                f"{count['exact.candidate_enumeration']} candidate enumeration "
+                f"spans for {count['exact.skeca_plus_bound']} EXACT queries "
+                "(one batch each on this small set)"
+            )
 
         # -- Prometheus text --------------------------------------------- #
         prom = prom_path.read_text()

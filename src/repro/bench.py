@@ -524,6 +524,7 @@ def run(dataset, args) -> Tuple[Dict, str]:
     from .replication import ReplicatedShardRouter
     from .server import MCKServer
     from .serving import QueryService
+    from .serving.stats import MetricsRegistry
     from .testing import faults
 
     algorithms = _check(args)
@@ -583,6 +584,7 @@ def run(dataset, args) -> Tuple[Dict, str]:
             cache_size=args.cache_size,
             strict_timeouts=args.strict_timeouts,
             slo=slo,
+            metrics=MetricsRegistry.default(),
         ))
         if args.http:
             server = stack.enter_context(MCKServer(service).run_in_thread())

@@ -455,6 +455,7 @@ def _cmd_serve(args) -> int:
     from .observability.flight import FlightRecorder
     from .server import MCKServer
     from .serving import QueryService
+    from .serving.stats import MetricsRegistry
 
     usage_errors = [
         (args.admission_capacity < 0, "--admission-capacity must be >= 0"),
@@ -527,6 +528,7 @@ def _cmd_serve(args) -> int:
         cache_size=args.cache_size,
         process_algorithms=process_algorithms,
         flight=flight,
+        metrics=MetricsRegistry.default(),
     )
     server = MCKServer(
         service,
@@ -628,7 +630,7 @@ def _cmd_trace(args) -> int:
     # Install globally so index builds and any code outside the service's
     # explicit wiring land in the same trace.
     set_tracer(tracer)
-    registry = MetricsRegistry()
+    registry = MetricsRegistry.default()
     failures = 0
     try:
         with QueryService(dataset, metrics=registry, tracer=tracer) as service:
@@ -719,7 +721,7 @@ def _cmd_explain(args) -> int:
     try:
         with QueryService(
             source,
-            metrics=MetricsRegistry(),
+            metrics=MetricsRegistry.default(),
             tracer=tracer,
             flight=flight,
         ) as service:

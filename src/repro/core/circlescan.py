@@ -14,18 +14,35 @@ frequency table across the sorted enter/exit events answers, in O(n log n):
   covers the query, maximal under inclusion.  (The candidate circles that
   Procedure circleScanSearch of EXACT exhaustively searches.)
 
-Event construction is vectorised over the sweeping area.  The event walk
-itself has two implementations selected by :mod:`repro.kernels`: the
-columnar path turns the per-keyword frequency table into an ``(events, m)``
-delta matrix and scans its running column sums in chunked batches (early
-terminating per chunk), while the object path keeps the original
-per-event Python loop as the reference oracle.
+**Segmented sweep.**  SKECa+ tries one probe diameter against many poles,
+and EXACT enumerates candidates at one diameter around every surviving
+pole.  Each sweeping area is small, so per-pole numpy dispatch would cost
+more than the sweep itself.  :func:`sweep_batches` therefore groups poles,
+in probe order and capped by a row budget, and each :class:`SweepBatch`
+concatenates its poles' sweep views into segments and makes one numpy
+pass: enter/exit angles, a per-segment stable sort (``lexsort`` on
+segment, then angle), running per-keyword counts with each segment's base
+subtracted, and each segment's covering events.  A batch keeps the
+per-pole loop's semantics exactly:
+
+* every event a segment emits, and their order, equal what that pole
+  alone would emit, so rows, theta and candidates are bit-identical;
+* the first pole in probe order with a cover wins, and only the poles up
+  to and including it count as visited (the ``core.circlescan`` fault
+  site fires for each, in order, once the batch has been swept);
+* between batches :func:`first_cover` polls the deadline, and no batch
+  holds more than :data:`ROW_BUDGET` rows unless one pole alone does.
+
+:func:`circle_scan` and :func:`circle_scan_candidates` are one-segment
+uses of the same pass.  The object path (``REPRO_SCALAR_KERNELS=1``) walks
+each pole with the original per-event Python loop and is the reference
+oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,13 +50,23 @@ from ..kernels import vectorized_enabled
 from ..testing import faults as _faults
 from .query import QueryContext
 
-__all__ = ["circle_scan", "circle_scan_candidates", "sweeping_area"]
+__all__ = [
+    "circle_scan",
+    "circle_scan_candidates",
+    "first_cover",
+    "sweep_batches",
+    "SweepBatch",
+    "sweeping_area",
+]
 
 _TWO_PI = 2.0 * math.pi
 
-#: Events per batch in the columnar walk: large enough to amortise numpy
-#: dispatch, small enough that a first-hit early exit skips most work.
-_EVENT_CHUNK = 2048
+#: Sweep-view rows per segmented batch: enough poles to amortise numpy
+#: dispatch, few enough that the ``(events, m)`` temporaries stay small and
+#: a long scan polls its deadline between batches.
+ROW_BUDGET = 4096
+
+Hit = Tuple[List[int], float]
 
 
 def sweeping_area(ctx: QueryContext, pole_row: int, diameter: float) -> np.ndarray:
@@ -51,96 +78,322 @@ def sweeping_area(ctx: QueryContext, pole_row: int, diameter: float) -> np.ndarr
     return ctx.pole_cache(pole_row).rows_within(diameter)
 
 
-def _sweep_events(ctx: QueryContext, pole_row: int, diameter: float):
-    """Shared setup: prechecks + vectorised enter/exit event arrays.
+def _sweep_view(ctx: QueryContext, pole_row: int, diameter: float):
+    """The pole's sweeping area as ``(rows, dists, phis)``, or None.
 
-    Returns ``None`` when the sweeping area cannot cover the query, else
-    ``(inside_rows, angles, kinds, event_rows)`` where ``inside_rows`` are
-    the rows inside the disc at centre angle 0 (including always-inside
-    rows at the pole itself), and events are sorted by angle with enters
-    (kind 1) before exits (kind 0) on ties — the enclosing disc is closed,
-    so at a tie angle both the entering and the exiting object are
-    enclosed, and an object at distance exactly ``D`` (a degenerate
-    single-angle interval) must be entered before it is exited.
-
-    The columnar path reads the pole cache's precomputed polar angles and
-    drops enter events at angle exactly 0 (those rows are already in
-    ``inside_rows``, so the event is a no-op the batched walk would
-    double-count); the object path recomputes ``arctan2`` per probe and
-    keeps the redundant events, exactly as the original implementation did
-    (its in-set guard makes them no-ops).  Both paths emit the same event
-    permutation: a stable sort of angles with enters listed first equals
-    the original ``lexsort((-kinds, angles))``.
+    Rows are sorted by distance (ties by row index) with their polar
+    angles around the pole.  None when even the whole sweeping area cannot
+    cover the query — the coverage-radius precheck (paper: "the checking
+    on o is thus avoided") or the area's keyword union.  The columnar path
+    reads a radius-bounded pole cache, a bit-identical prefix of the full
+    distance sort the object path reads.
     """
     if diameter < ctx.cover_radii[pole_row] * (1.0 - 1e-12):
-        # Even the whole sweeping area cannot cover the query: the rotation
-        # (paper: "the checking on o is thus avoided") is skipped.
         return None
-
-    if not vectorized_enabled():
-        cache = ctx.pole_cache(pole_row)
-        k = cache.prefix_length(diameter)
-        if k == 0 or cache.prefix_union[k] != ctx.full_mask:
-            return None
-        return _sweep_events_object(
-            ctx, pole_row, cache.rows[:k], cache.dists[:k], diameter
-        )
-
-    view = ctx.sweep_view(pole_row, diameter)
-    if view is None:
-        return None
-    rows, dists, view_phis = view
-
-    # Rows essentially at the pole are inside at every rotation position;
-    # distances are sorted ascending, so they form a prefix.
-    still = int(np.searchsorted(dists, max(1e-12, 1e-15 * diameter), side="right"))
-    always_rows = rows[:still]
-    mrows = rows[still:]
-    if len(mrows) == 0:
-        return list(map(int, always_rows)), _EMPTY, _EMPTY_KINDS, _EMPTY_ROWS
-
-    ratio = np.minimum(dists[still:] / diameter, 1.0)
-    beta = np.arccos(ratio)
-    phi = view_phis[still:]
-    enter = np.mod(phi - beta, _TWO_PI)
-    exit_ = np.mod(phi + beta, _TWO_PI)
-
-    # Inside at angle 0: the interval wraps (enter > exit) or starts at 0.
-    at_zero = enter == 0.0
-    wraps = (enter > exit_) | at_zero
-    inside_rows = [int(r) for r in always_rows]
-    inside_rows.extend(int(r) for r in mrows[wraps])
-
-    if at_zero.any():
-        live = ~at_zero
-        angles = np.concatenate([enter[live], exit_])
-        kinds = np.concatenate(
-            [
-                np.ones(int(live.sum()), dtype=np.int8),
-                np.zeros(len(mrows), dtype=np.int8),
-            ]
-        )
-        event_rows = np.concatenate([mrows[live], mrows])
+    if vectorized_enabled():
+        cache = ctx.pole_cache_bounded(pole_row, diameter)
     else:
-        angles = np.concatenate([enter, exit_])
-        kinds = np.concatenate(
-            [np.ones(len(mrows), dtype=np.int8), np.zeros(len(mrows), dtype=np.int8)]
-        )
-        event_rows = np.concatenate([mrows, mrows])
-    # Enters precede exits in the unsorted arrays, so a stable sort on
-    # angle alone yields the enter-before-exit tie order.
-    order = np.argsort(angles, kind="stable")
-    return inside_rows, angles[order], kinds[order], event_rows[order]
+        cache = ctx.pole_cache(pole_row)
+    k = cache.prefix_length(diameter)
+    if k == 0 or cache.prefix_union[k] != ctx.full_mask:
+        return None
+    return cache.rows[:k], cache.dists[:k], cache.phis[:k]
 
 
-def _sweep_events_object(
-    ctx: QueryContext,
-    pole_row: int,
-    rows: np.ndarray,
-    dists: np.ndarray,
-    diameter: float,
-):
-    """Object-path event construction: the original per-probe sequence."""
+def sweep_batches(
+    ctx: QueryContext, poles: Iterable[int], diameter: float
+) -> Iterator["SweepBatch"]:
+    """Group ``poles`` (kept in order) into batches of at most ROW_BUDGET rows.
+
+    Views are built lazily, one batch ahead of the caller, so a caller that
+    stops at a hit never builds the views of later batches.
+    """
+    batch: List[int] = []
+    views: list = []
+    rows = 0
+    for pole in poles:
+        pole = int(pole)
+        view = _sweep_view(ctx, pole, diameter)
+        size = 0 if view is None else len(view[0])
+        if batch and rows + size > ROW_BUDGET:
+            yield SweepBatch(ctx, batch, views, diameter)
+            batch, views, rows = [], [], 0
+        batch.append(pole)
+        views.append(view)
+        rows += size
+    if batch:
+        yield SweepBatch(ctx, batch, views, diameter)
+
+
+def first_cover(
+    ctx: QueryContext, poles: Sequence[int], diameter: float, deadline=None
+) -> Tuple[int, Optional[Hit]]:
+    """First pole in ``poles`` whose rotation at ``diameter`` covers the query.
+
+    Returns ``(index, (rows, theta))`` for the winning pole, or
+    ``(len(poles), None)``; ``poles[:index]`` are the poles that failed.
+    ``deadline`` (if given) is polled between batches.
+    """
+    offset = 0
+    for number, batch in enumerate(sweep_batches(ctx, poles, diameter)):
+        if number and deadline is not None:
+            deadline.check()
+        index, hit = batch.first_cover()
+        if hit is not None:
+            return offset + index, hit
+        offset += len(batch.poles)
+    return offset, None
+
+
+def circle_scan(ctx: QueryContext, pole_row: int, diameter: float) -> Optional[Hit]:
+    """Find one o-across keywords enclosing circle of diameter ``diameter``.
+
+    Returns ``(rows, theta)`` where ``rows`` are the O' rows enclosed at
+    centre angle ``theta`` (radians around the pole) and together cover all
+    query keywords, or ``None`` when no rotation position works — by
+    Property 1 this also rules out every smaller diameter at this pole.
+    """
+    return first_cover(ctx, (pole_row,), diameter)[1]
+
+
+def circle_scan_candidates(
+    ctx: QueryContext, pole_row: int, diameter: float
+) -> List[List[int]]:
+    """All maximal enclosed sets covering the query over the full rotation.
+
+    Unlike :func:`circle_scan`, the sweep continues past the first hit and
+    snapshots the enclosed set at every event position where coverage
+    holds.  Snapshots that are subsets of other snapshots are dropped: the
+    exhaustive search over a superset subsumes the search over its subsets.
+    """
+    (batch,) = sweep_batches(ctx, (pole_row,), diameter)
+    return batch.candidates()[0]
+
+
+class SweepBatch:
+    """Poles swept together at one diameter (see the module docstring).
+
+    ``views[i]`` is pole ``poles[i]``'s sweep view, or None when its
+    sweeping area cannot cover the query.
+    """
+
+    __slots__ = ("ctx", "poles", "views", "diameter")
+
+    def __init__(self, ctx: QueryContext, poles: List[int], views: list, diameter: float):
+        self.ctx = ctx
+        self.poles = poles
+        self.views = views
+        self.diameter = diameter
+
+    def _segments(self):
+        """The covering views as one :class:`_Segments` pass (None when no
+        view covers), plus each segment's index into ``poles``."""
+        views = self.views
+        if len(views) == 1:
+            live = [] if views[0] is None else [0]
+        else:
+            live = [i for i, view in enumerate(views) if view is not None]
+        if not live:
+            return None, live
+        return _Segments(self.ctx, [views[i] for i in live], self.diameter), live
+
+    def first_cover(self) -> Tuple[int, Optional[Hit]]:
+        """``(index, (rows, theta))`` of the first pole with a cover, or
+        ``(len(poles), None)``."""
+        ctx, diameter = self.ctx, self.diameter
+        if not vectorized_enabled():
+            for index, (pole, view) in enumerate(zip(self.poles, self.views)):
+                _faults.fire("core.circlescan", pole=pole, diameter=diameter)
+                if view is not None:
+                    hit = _first_cover_scalar(ctx, _events_object(ctx, pole, view, diameter))
+                    if hit is not None:
+                        return index, hit
+            return len(self.poles), None
+
+        segments, live = self._segments()
+        index, hit = len(self.poles), None
+        if segments is not None:
+            seg, hit = segments.first_cover()
+            if hit is not None:
+                index = live[seg]
+        if _faults.ACTIVE:
+            # Chaos site, once per visited pole: tests arm a delay here to
+            # model a stalled sweep.
+            for pole in self.poles[: index + 1]:
+                _faults.fire("core.circlescan", pole=pole, diameter=diameter)
+        return index, hit
+
+    def candidates(self) -> List[List[List[int]]]:
+        """Per pole, its maximal covering enclosed sets (EXACT's candidates)."""
+        ctx, diameter = self.ctx, self.diameter
+        if not vectorized_enabled():
+            return [
+                []
+                if view is None
+                else _maximal_sets(
+                    _covering_snapshots_scalar(
+                        ctx, _events_object(ctx, pole, view, diameter)
+                    )
+                )
+                for pole, view in zip(self.poles, self.views)
+            ]
+        out: List[List[List[int]]] = [[] for _ in self.poles]
+        segments, live = self._segments()
+        if segments is not None:
+            for seg, snapshots in enumerate(segments.covering_snapshots()):
+                out[live[seg]] = _maximal_sets(snapshots)
+        return out
+
+
+class _Segments:
+    """One numpy pass over several poles' sweep views at one diameter.
+
+    Positions index the concatenated view rows; segment ``s`` owns
+    positions ``row_start[s]:row_start[s + 1]`` and sorted events
+    ``ev_start[s]:ev_start[s + 1]``.  Enter events (kind 1) precede exit
+    events (kind 0) on tied angles: the disc is closed, so at a tie both
+    objects are enclosed, and an object at distance exactly ``D`` (a
+    single-angle interval) is entered before it is exited.  A moving row
+    whose interval wraps past angle 0, or starts exactly at 0, is inside
+    at angle 0; an enter at exactly 0 is dropped, as it would be a no-op.
+    """
+
+    def __init__(self, ctx: QueryContext, views: list, diameter: float):
+        n_seg = len(views)
+        if n_seg == 1:
+            rows, dists, phis = views[0]
+            self.row_start = np.array((0, len(rows)))
+        else:
+            rows = np.concatenate([v[0] for v in views])
+            dists = np.concatenate([v[1] for v in views])
+            phis = np.concatenate([v[2] for v in views])
+            self.row_start = np.zeros(n_seg + 1, dtype=np.intp)
+            np.cumsum([len(v[0]) for v in views], out=self.row_start[1:])
+        self.rows = rows
+
+        # Rows essentially at the pole are inside at every rotation position.
+        moving = dists > max(1e-12, 1e-15 * diameter)
+        mpos = moving.nonzero()[0]
+        beta = np.arccos(np.minimum(dists[mpos] / diameter, 1.0))
+        phi = phis[mpos]
+        enter = np.mod(phi - beta, _TWO_PI)
+        exit_ = np.mod(phi + beta, _TWO_PI)
+        at_zero = enter == 0.0
+        inside = ~moving
+        inside[mpos] = (enter > exit_) | at_zero
+        self.inside = inside
+        enter_pos = mpos
+        if at_zero.any():
+            enter_pos, enter = mpos[~at_zero], enter[~at_zero]
+
+        # Unsorted events: every segment's enters, then every segment's
+        # exits, so a stable sort on (segment, angle) keeps each segment's
+        # enter-before-exit tie order — the same permutation as sorting
+        # that segment alone.
+        ev_pos = np.concatenate((enter_pos, mpos))
+        angles = np.concatenate((enter, exit_))
+        if n_seg == 1:
+            order = angles.argsort(kind="stable")
+            self.ev_pos = ev_pos.take(order)
+            self.ev_seg = None
+            self.ev_start = np.array((0, len(order)))
+        else:
+            seg_of_pos = np.repeat(np.arange(n_seg), np.diff(self.row_start))
+            order = np.lexsort((angles, seg_of_pos.take(ev_pos)))
+            self.ev_pos = ev_pos.take(order)
+            self.ev_seg = seg_of_pos.take(self.ev_pos)
+            self.ev_start = self.ev_seg.searchsorted(np.arange(n_seg + 1))
+        self.angles = angles.take(order)
+        self.is_enter = order < len(enter_pos)
+
+        # Running per-keyword counts: one cumulative sum over all events,
+        # rebased per segment to that segment's counts at angle 0.
+        bits = ctx.bits_matrix.take(rows, axis=0).view(np.int8)
+        inside_bits = bits * inside[:, None]
+        counts0 = np.add.reduceat(inside_bits, self.row_start[:-1], axis=0, dtype=np.int32)
+        self.covered0 = np.logical_and.reduce(counts0 > 0, axis=1)
+        deltas = bits.take(self.ev_pos, axis=0)
+        deltas = np.where(self.is_enter[:, None], deltas, -deltas)
+        running = np.add.accumulate(deltas, axis=0, dtype=np.int32)
+        if n_seg == 1:
+            running += counts0[0]
+        else:
+            before = np.concatenate((np.zeros_like(counts0[:1]), running))
+            running += (counts0 - before[self.ev_start[:-1]])[self.ev_seg]
+        self.covered = np.logical_and.reduce(running > 0, axis=1)
+
+    def first_cover(self) -> Tuple[int, Optional[Hit]]:
+        """``(segment, (rows, theta))`` of the first segment with a cover."""
+        n_seg = len(self.covered0)
+        seg0 = int(self.covered0.argmax())
+        if not self.covered0[seg0]:
+            seg0 = n_seg
+        seg1, i = n_seg, 0
+        if len(self.covered):
+            i = int(self.covered.argmax())
+            if self.covered[i]:
+                seg1 = 0 if self.ev_seg is None else int(self.ev_seg[i])
+        if seg0 < n_seg and seg0 <= seg1:
+            lo, hi = self.row_start[seg0], self.row_start[seg0 + 1]
+            return seg0, (np.sort(self.rows[lo:hi][self.inside[lo:hi]]).tolist(), 0.0)
+        if seg1 < n_seg:
+            return seg1, (self._enclosed(seg1, i), float(self.angles[i]))
+        return n_seg, None
+
+    def covering_snapshots(self) -> List[set]:
+        """Per segment, the enclosed sets at its locally maximal covering
+        positions.
+
+        A covering position followed by an enter is strictly contained in
+        its successor, which stays covering, so only positions followed by
+        an exit or the segment's end are materialised; the initial enclosed
+        set is maximal only when the segment opens with an exit.
+        """
+        n_seg = len(self.covered0)
+        ev_start = self.ev_start
+        n_events = len(self.angles)
+        closes = np.ones(n_events, dtype=bool)
+        closes[:-1] = ~self.is_enter[1:]
+        ends = ev_start[1:][ev_start[1:] > ev_start[:-1]] - 1
+        closes[ends] = True
+        snap = np.flatnonzero(self.covered & closes)
+        snap_start = np.searchsorted(snap, ev_start)
+        out: List[set] = []
+        for seg in range(n_seg):
+            snapshots: set = set()
+            first = ev_start[seg]
+            if self.covered0[seg] and (
+                first == ev_start[seg + 1] or not self.is_enter[first]
+            ):
+                lo, hi = self.row_start[seg], self.row_start[seg + 1]
+                snapshots.add(frozenset(self.rows[lo:hi][self.inside[lo:hi]].tolist()))
+            for i in snap[snap_start[seg] : snap_start[seg + 1]].tolist():
+                snapshots.add(frozenset(self._enclosed(seg, i)))
+            out.append(snapshots)
+        return out
+
+    def _enclosed(self, seg: int, i: int) -> List[int]:
+        """Ascending rows of segment ``seg`` enclosed right after sorted
+        event ``i``.
+
+        A row has at most one enter and one exit event, so it is enclosed
+        exactly when its inside-at-0 flag differs from the parity of its
+        events so far.
+        """
+        lo, hi = self.row_start[seg], self.row_start[seg + 1]
+        seen = np.bincount(self.ev_pos[self.ev_start[seg] : i + 1] - lo, minlength=hi - lo)
+        return np.sort(self.rows[lo:hi][(seen & 1) != self.inside[lo:hi]]).tolist()
+
+
+def _events_object(ctx: QueryContext, pole_row: int, view, diameter: float):
+    """Object-path event construction: the original per-probe sequence.
+
+    Returns ``(inside_rows, angles, kinds, event_rows)`` sorted by angle
+    with enters (kind 1) before exits (kind 0) on ties; it recomputes
+    ``arctan2`` and keeps enter events at angle 0 (the walk's in-set guard
+    makes them no-ops).
+    """
+    rows, dists = view[0], view[1]
     pole = ctx.coords[pole_row]
 
     moving = dists > max(1e-12, 1e-15 * diameter)
@@ -176,101 +429,9 @@ _EMPTY_KINDS = np.empty(0, dtype=np.int8)
 _EMPTY_ROWS = np.empty(0, dtype=np.intp)
 
 
-def circle_scan(
-    ctx: QueryContext, pole_row: int, diameter: float
-) -> Optional[Tuple[List[int], float]]:
-    """Find one o-across keywords enclosing circle of diameter ``diameter``.
-
-    Returns ``(rows, theta)`` where ``rows`` are the O' rows enclosed at
-    centre angle ``theta`` (radians around the pole) and together cover all
-    query keywords, or ``None`` when no rotation position works — by
-    Property 1 this also rules out every smaller diameter at this pole.
-    """
-    # Chaos site: tests arm a delay here to model a stalled sweep.
-    _faults.fire("core.circlescan", pole=pole_row, diameter=diameter)
-    setup = _sweep_events(ctx, pole_row, diameter)
-    if setup is None:
-        return None
-    inside_rows, angles, kinds, event_rows = setup
-
-    bits = ctx.bits_matrix if vectorized_enabled() else None
-    if bits is not None:
-        return _first_cover_batched(ctx, bits, inside_rows, angles, kinds, event_rows)
-    return _first_cover_scalar(ctx, inside_rows, angles, kinds, event_rows)
-
-
-def _first_cover_batched(
-    ctx: QueryContext,
-    bits: np.ndarray,
-    inside_rows: List[int],
-    angles: np.ndarray,
-    kinds: np.ndarray,
-    event_rows: np.ndarray,
-) -> Optional[Tuple[List[int], float]]:
-    """Columnar event walk: chunked running per-keyword counts.
-
-    ``bits`` is the O' ``(n, m)`` 0/1 keyword matrix; each event batch
-    contributes a signed delta block whose column-wise cumulative sum is
-    the per-keyword frequency table at every event position in the batch.
-    Coverage holds where all m running counts are positive; the first such
-    position is the answer, and earlier batches bail out without touching
-    the rest of the sweep.
-    """
-    inside_arr = np.asarray(inside_rows, dtype=np.intp)
-    m = bits.shape[1]
-    if len(inside_arr):
-        counts = bits[inside_arr].sum(axis=0, dtype=np.int32)
-        if int((counts > 0).sum()) == m:
-            return sorted(inside_rows), 0.0
-    else:
-        counts = np.zeros(m, dtype=np.int32)
-
-    n_events = len(angles)
-    if n_events == 0:
-        return None
-    signs = kinds.astype(np.int32) * 2 - 1
-    for start in range(0, n_events, _EVENT_CHUNK):
-        stop = min(start + _EVENT_CHUNK, n_events)
-        deltas = bits[event_rows[start:stop]].astype(np.int32)
-        deltas *= signs[start:stop, None]
-        running = np.cumsum(deltas, axis=0)
-        running += counts
-        covered = (running > 0).all(axis=1)
-        hits = np.flatnonzero(covered)
-        if hits.size:
-            i = start + int(hits[0])
-            rows = _enclosed_rows_at(len(ctx.coords), inside_arr, event_rows, signs, i)
-            return rows, float(angles[i])
-        counts = running[-1]
-    return None
-
-
-def _enclosed_rows_at(
-    n_rows: int,
-    inside_arr: np.ndarray,
-    event_rows: np.ndarray,
-    signs: np.ndarray,
-    i: int,
-) -> List[int]:
-    """Reconstruct the enclosed set right after event ``i``.
-
-    Each row's membership is its initial inside flag plus the net of its
-    enter/exit events up to ``i`` — one scatter-add over the event prefix.
-    """
-    state = np.zeros(n_rows, dtype=np.int32)
-    state[inside_arr] = 1
-    np.add.at(state, event_rows[: i + 1], signs[: i + 1])
-    return [int(r) for r in np.flatnonzero(state == 1)]
-
-
-def _first_cover_scalar(
-    ctx: QueryContext,
-    inside_rows: List[int],
-    angles: np.ndarray,
-    kinds: np.ndarray,
-    event_rows: np.ndarray,
-) -> Optional[Tuple[List[int], float]]:
+def _first_cover_scalar(ctx: QueryContext, events) -> Optional[Hit]:
     """Object-path event walk: the original per-event reference loop."""
+    inside_rows, angles, kinds, event_rows = events
     masks = ctx.masks
     full = ctx.full_mask
 
@@ -300,104 +461,9 @@ def _first_cover_scalar(
     return None
 
 
-def circle_scan_candidates(
-    ctx: QueryContext, pole_row: int, diameter: float
-) -> List[List[int]]:
-    """All maximal enclosed sets covering the query over the full rotation.
-
-    Unlike :func:`circle_scan`, the sweep continues past the first hit and
-    snapshots the enclosed set at every event position where coverage
-    holds.  Snapshots that are subsets of other snapshots are dropped: the
-    exhaustive search over a superset subsumes the search over its subsets.
-    """
-    setup = _sweep_events(ctx, pole_row, diameter)
-    if setup is None:
-        return []
-    inside_rows, angles, kinds, event_rows = setup
-
-    bits = ctx.bits_matrix if vectorized_enabled() else None
-    if bits is not None:
-        snapshots = _covering_snapshots_batched(
-            ctx, bits, inside_rows, angles, kinds, event_rows
-        )
-    else:
-        snapshots = _covering_snapshots_scalar(
-            ctx, inside_rows, angles, kinds, event_rows
-        )
-    return _maximal_sets(snapshots)
-
-
-def _covering_snapshots_batched(
-    ctx: QueryContext,
-    bits: np.ndarray,
-    inside_rows: List[int],
-    angles: np.ndarray,
-    kinds: np.ndarray,
-    event_rows: np.ndarray,
-) -> set:
-    """Columnar full-rotation sweep for EXACT's candidate enumeration.
-
-    The coverage profile over all events is computed in one batch; the
-    enclosed set is then only materialised at *locally maximal* covering
-    positions (those followed by an exit or the sweep end — a covering
-    position followed by an enter is strictly contained in its successor,
-    which stays covering, so skipping it never loses a maximal set).
-    """
-    inside_arr = np.asarray(inside_rows, dtype=np.intp)
-    m = bits.shape[1]
-    if len(inside_arr):
-        counts0 = bits[inside_arr].sum(axis=0, dtype=np.int32)
-    else:
-        counts0 = np.zeros(m, dtype=np.int32)
-    covered0 = int((counts0 > 0).sum()) == m
-
-    n_events = len(angles)
-    snapshots: set = set()
-    if n_events == 0:
-        if covered0:
-            snapshots.add(frozenset(inside_rows))
-        return snapshots
-
-    signs = kinds.astype(np.int32) * 2 - 1
-    deltas = bits[event_rows].astype(np.int32)
-    deltas *= signs[:, None]
-    running = np.cumsum(deltas, axis=0)
-    running += counts0
-    covered = (running > 0).all(axis=1)
-
-    covering = np.flatnonzero(covered)
-    if covering.size:
-        last = covering == n_events - 1
-        followed_by_exit = np.zeros(covering.size, dtype=bool)
-        followed_by_exit[~last] = kinds[covering[~last] + 1] == 0
-        snap_idx = covering[last | followed_by_exit]
-    else:
-        snap_idx = covering
-
-    if covered0 and kinds[0] == 0:
-        # The initial enclosed set is maximal only when the sweep opens
-        # with an exit; an opening enter strictly grows it.
-        snapshots.add(frozenset(inside_rows))
-
-    state = np.zeros(len(ctx.coords), dtype=np.int32)
-    state[inside_arr] = 1
-    prev = 0
-    for i in snap_idx:
-        i = int(i)
-        np.add.at(state, event_rows[prev : i + 1], signs[prev : i + 1])
-        prev = i + 1
-        snapshots.add(frozenset(np.flatnonzero(state == 1).tolist()))
-    return snapshots
-
-
-def _covering_snapshots_scalar(
-    ctx: QueryContext,
-    inside_rows: List[int],
-    angles: np.ndarray,
-    kinds: np.ndarray,
-    event_rows: np.ndarray,
-) -> set:
+def _covering_snapshots_scalar(ctx: QueryContext, events) -> set:
     """Object-path full-rotation sweep (reference loop)."""
+    inside_rows, angles, kinds, event_rows = events
     masks = ctx.masks
     full = ctx.full_mask
 

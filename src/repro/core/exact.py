@@ -27,7 +27,7 @@ import numpy as np
 from ..geometry.mcc import minimum_covering_circle
 from ..kernels import kernel_mode
 from ..kernels import vectorized_enabled as _vectorized_enabled
-from .circlescan import circle_scan_candidates
+from .circlescan import sweep_batches
 from .common import QUALITY_APPROX, QUALITY_EXACT, SQRT3_FACTOR, Deadline
 from .query import QueryContext
 from .result import Group
@@ -99,43 +99,37 @@ def exact_from_state(
     deadline.note_bound(QUALITY_APPROX, skeca_group.diameter)
     deadline.offer(ctx, best_rows, best_diameter)
 
-    max_invalid = state.max_invalid_range
+    # Lemma 3: ø(SKECo) > 2/√3 · ø(MCC_Gskeca) means a pole cannot be on
+    # the boundary of MCC_Gopt.  Together with the coverage-radius
+    # precheck (which circleScan would apply pole by pole) it leaves the
+    # poles that can actually host a candidate circle.
+    max_inv = np.asarray(state.max_invalid_range, dtype=np.float64)
+    lemma3 = max_inv >= diam
+    pruned_poles = int(lemma3.sum())
+    deadline.count("pruned_poles", pruned_poles)
+    hopeless = diam < ctx.cover_radii * (1.0 - 1e-12)
+    poles = np.flatnonzero(~(lemma3 | hopeless))
     searched = 0
-    pruned_poles = 0
-    if _vectorized_enabled():
-        # Columnar pole filter: Lemma 3 and the coverage-radius precheck
-        # (the same test circleScan's setup would apply pole-by-pole) are
-        # evaluated in two array comparisons, so the Python loop only
-        # visits poles that can actually host a candidate circle.
-        max_inv = np.asarray(max_invalid, dtype=np.float64)
-        lemma3 = max_inv >= diam
-        pruned_poles = int(lemma3.sum())
-        deadline.count("pruned_poles", pruned_poles)
-        hopeless = diam < ctx.cover_radii * (1.0 - 1e-12)
-        pole_iter = [int(p) for p in np.flatnonzero(~(lemma3 | hopeless))]
-    else:
-        pole_iter = None
-    for pole in pole_iter if pole_iter is not None else range(len(ctx.relevant_ids)):
-        deadline.check()
-        if pole_iter is None and max_invalid[pole] >= diam:
-            # Lemma 3: ø(SKECo) > 2/√3 · ø(MCC_Gskeca) means this pole
-            # cannot be on the boundary of MCC_Gopt.
-            pruned_poles += 1
-            deadline.count("pruned_poles")
-            continue
-        with deadline.span("exact.candidate_enumeration", pole=pole) as enum_span:
-            candidates = circle_scan_candidates(ctx, pole, diam)
-            enum_span.set_attribute("candidates", len(candidates))
-        for cand_rows in candidates:
+    # Candidates of a batch of poles come from one segmented sweep; the
+    # branch-and-bound then visits them pole by pole in the same order.
+    for batch in sweep_batches(ctx, poles, diam):
+        with deadline.span(
+            "exact.candidate_enumeration", poles=len(batch.poles)
+        ) as enum_span:
+            per_pole = batch.candidates()
+            enum_span.set_attribute("candidates", sum(map(len, per_pole)))
+        for pole, candidates in zip(batch.poles, per_pole):
             deadline.check()
-            searched += 1
-            deadline.count("candidate_circles")
-            with deadline.span(
-                "exact.search", pole=pole, candidate_size=len(cand_rows)
-            ):
-                best_rows, best_diameter = branch_and_bound_search(
-                    ctx, pole, cand_rows, best_rows, best_diameter, deadline
-                )
+            for cand_rows in candidates:
+                deadline.check()
+                searched += 1
+                deadline.count("candidate_circles")
+                with deadline.span(
+                    "exact.search", pole=pole, candidate_size=len(cand_rows)
+                ):
+                    best_rows, best_diameter = branch_and_bound_search(
+                        ctx, pole, cand_rows, best_rows, best_diameter, deadline
+                    )
 
     best_rows = _prune_redundant_rows(ctx, best_rows)
     group = Group.from_rows(ctx, best_rows, algorithm="EXACT")

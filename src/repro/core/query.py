@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..exceptions import QueryError
 from ..index.virtual import VirtualBRTree
@@ -134,9 +135,11 @@ class QueryContext:
         self.t_inf: str = dataset.vocabulary.least_frequent(list(query.keywords))
         self.t_inf_bit: int = 1 << query.keywords.index(self.t_inf)
         self._pole_caches: "OrderedDict[int, PoleCache]" = OrderedDict()
-        #: Poles probed once via a bounded sweep view; a second probe
-        #: promotes the pole to a full distance-sorted cache.
-        self._pole_probes: dict = {}
+        #: Largest diameter the running search can still probe; a bounded
+        #: pole cache is built at least this wide, so each probed pole pays
+        #: one ball query however its probes shrink (SKECa+ sets it from
+        #: its upper bound and tightens it every binary step).
+        self.probe_radius = 0.0
         #: Cap on cached poles; 1024 poles over a few thousand relevant
         #: objects stays well under 100 MB.
         self._pole_cache_limit = 1024
@@ -256,8 +259,6 @@ class QueryContext:
         """
         cached = self._keyword_trees.get(bit_pos)
         if cached is None:
-            from scipy.spatial import cKDTree
-
             with _trace_span("index.keyword_tree_build", keyword_bit=bit_pos):
                 bit = 1 << bit_pos
                 if self.m <= 64:
@@ -307,13 +308,24 @@ class QueryContext:
             order = np.argsort(dists, kind="stable")
             sorted_dists = dists[order]
             phis = np.arctan2(delta[order, 1], delta[order, 0])
-            acc = np.bitwise_or.accumulate(self.masks_np[order])
-            prefix_union = np.concatenate(([np.uint64(0)], acc))
+            prefix_union = self._prefix_union(order)
             cache = PoleCache(sorted_dists, order.astype(np.intp), prefix_union, phis)
         self._pole_caches[row] = cache
         while len(self._pole_caches) > self._pole_cache_limit:
             self._pole_caches.popitem(last=False)
         return cache
+
+    def _prefix_union(self, rows: np.ndarray) -> np.ndarray:
+        """Keyword union of each prefix of ``rows``, led by the empty union.
+
+        Past 64 keywords the masks do not fit a uint64, so the fold runs
+        over Python ints.
+        """
+        if self.m <= 64:
+            acc = np.bitwise_or.accumulate(self.masks_np[rows])
+            return np.concatenate(([np.uint64(0)], acc))
+        masks = self.masks
+        return np.bitwise_or.accumulate(np.array([0] + [masks[r] for r in rows], dtype=object))
 
     def distances_from_row(self, row: int) -> np.ndarray:
         """Distances from one relevant object to all of O' (vectorised)."""
@@ -331,8 +343,6 @@ class QueryContext:
         the surviving selection is identical to a full-array scan.
         """
         if self._relevant_kdtree is None:
-            from scipy.spatial import cKDTree
-
             self._relevant_kdtree = cKDTree(self.coords)
         hits = self._relevant_kdtree.query_ball_point(
             self.coords[row], bound * (1.0 + 1e-9) + 1e-12, return_sorted=True
@@ -348,15 +358,16 @@ class QueryContext:
         compared to O'.  The result is a bit-identical prefix of the full
         stable distance sort (ties break by row index in both), so any
         probe at ``diameter <= radius`` sees exactly the full cache's
-        view.  A cached cache with a smaller bound is rebuilt with
-        doubled headroom; probes shrink in every caller, so rebuilds are
-        rare.
+        view.  The cache is built at least :attr:`probe_radius` wide; one
+        that a probe outgrows is rebuilt with doubled headroom.
         """
         cache = self._pole_caches.get(row)
         if cache is not None and radius <= cache.radius_bound:
             self._pole_caches.move_to_end(row)
             return cache
-        if cache is not None:
+        if radius <= self.probe_radius:
+            radius = self.probe_radius
+        elif cache is not None:
             # A probe outgrew the cached bound: rebuild with headroom.
             radius = max(radius * 2.0, cache.radius_bound * 2.0)
         with _trace_span("index.pole_cache_build", pole=row, bounded=True):
@@ -371,8 +382,7 @@ class QueryContext:
             order = np.argsort(dsel, kind="stable")
             rows = sel[order]
             phis = np.arctan2(dy[keep][order], dx[keep][order])
-            acc = np.bitwise_or.accumulate(self.masks_np[rows])
-            prefix_union = np.concatenate(([np.uint64(0)], acc))
+            prefix_union = self._prefix_union(rows)
             cache = PoleCache(
                 dsel[order], rows, prefix_union, phis, radius_bound=radius
             )
@@ -380,61 +390,6 @@ class QueryContext:
         while len(self._pole_caches) > self._pole_cache_limit:
             self._pole_caches.popitem(last=False)
         return cache
-
-    def sweep_view(self, row: int, diameter: float):
-        """Sweeping-area view around a pole: ``(rows, dists, phis)`` or None.
-
-        Rows within (closed) distance ``diameter`` of the pole, sorted by
-        distance (ties by row index), with their polar angles; None when
-        the area is empty or its keyword union cannot cover the query.
-
-        A pole probed once gets a one-shot *bounded* selection (no cache
-        allocation); a pole probed again (the binary-search pattern)
-        promotes to a bounded :class:`PoleCache` so later probes are a
-        ``searchsorted`` + slice.  All variants produce bit-identical
-        views: a bounded selection is exactly the prefix of the stable
-        full distance sort.
-        """
-        cache = self._pole_caches.get(row)
-        if cache is None:
-            probes = self._pole_probes
-            if probes.get(row, 0):
-                cache = self.pole_cache_bounded(row, diameter)
-            else:
-                probes[row] = 1
-        elif diameter > cache.radius_bound:
-            cache = self.pole_cache_bounded(row, diameter)
-        else:
-            self._pole_caches.move_to_end(row)
-        if cache is not None:
-            k = cache.prefix_length(diameter)
-            if k == 0 or cache.prefix_union[k] != self.full_mask:
-                return None
-            return cache.rows[:k], cache.dists[:k], cache.phis[:k]
-
-        bound = diameter * (1.0 + 1e-12) + 1e-18
-        cand = self._disc_candidates(row, bound)
-        dx = self.coords[cand, 0] - self.coords[row, 0]
-        dy = self.coords[cand, 1] - self.coords[row, 1]
-        d = np.hypot(dx, dy)
-        keep = d <= bound
-        sel = cand[keep]
-        if len(sel) == 0:
-            return None
-        if self.m <= 64:
-            union = int(np.bitwise_or.reduce(self.masks_np[sel]))
-        else:
-            union = 0
-            masks = self.masks
-            for r in sel:
-                union |= masks[r]
-        if union != self.full_mask:
-            return None
-        dsel = d[keep]
-        order = np.argsort(dsel, kind="stable")
-        rows = sel[order]
-        phis = np.arctan2(dy[keep][order], dx[keep][order])
-        return rows, dsel[order], phis
 
     def group_diameter_rows(self, rows: Sequence[int]) -> float:
         """Diameter (Definition 1) of a set of O' rows."""

@@ -155,13 +155,20 @@ def find_app_oskec(
 
 
 def _single_object_answer(ctx: QueryContext, algorithm: str) -> Optional[Group]:
+    """The first O' row covering every query keyword alone, as a group."""
     full = ctx.full_mask
-    for row, mask in enumerate(ctx.masks):
-        if mask == full:
-            x, y = ctx.location_of_row(row)
-            group = Group.from_rows(
-                ctx, [row], algorithm=algorithm, enclosing_circle=Circle(x, y, 0.0)
-            )
-            group.quality = QUALITY_EXACT
-            return group
-    return None
+    if ctx.m <= 64:
+        hits = np.flatnonzero(ctx.masks_np == np.uint64(full))
+        if not hits.size:
+            return None
+        row = int(hits[0])
+    else:
+        row = next((r for r, mask in enumerate(ctx.masks) if mask == full), None)
+        if row is None:
+            return None
+    x, y = ctx.location_of_row(row)
+    group = Group.from_rows(
+        ctx, [row], algorithm=algorithm, enclosing_circle=Circle(x, y, 0.0)
+    )
+    group.quality = QUALITY_EXACT
+    return group

@@ -24,8 +24,8 @@ import numpy as np
 from ..geometry.circle import Circle
 from ..geometry.mcc import minimum_covering_circle
 from ..kernels import kernel_mode, vectorized_enabled
-from .circlescan import circle_scan
-from .common import QUALITY_APPROX, Deadline
+from .circlescan import first_cover
+from .common import QUALITY_APPROX, SQRT3_FACTOR, Deadline
 from .gkg import gkg
 from .query import QueryContext
 from .result import Group
@@ -93,7 +93,8 @@ def skeca_plus_state(
 
     search_ub = current_circle.diameter
     search_lb = greedy.diameter / 2.0
-    max_invalid = [0.0] * n_relevant
+    max_invalid = np.zeros(n_relevant, dtype=np.float64)
+    _bound_probes(ctx, search_ub)
 
     # Probe poles in ascending coverage-radius order: poles that can host a
     # small keywords enclosing circle come first, so successful probes break
@@ -131,6 +132,7 @@ def skeca_plus_state(
                 current_circle = warm.circle(ctx)
     while search_ub - search_lb > alpha:
         deadline.check()
+        _bound_probes(ctx, search_ub)
         diam = (search_ub + search_lb) / 2.0
         steps += 1
         deadline.count("binary_steps")
@@ -139,37 +141,18 @@ def skeca_plus_state(
         with deadline.span(
             "skecaplus.binary_step", diameter=diam, eligible_poles=eligible
         ) as step_span:
-            # The pole that hosted the last successful probe is the most
-            # likely to host the next (the probe shrank only a little);
-            # trying it first turns most successful probes into a single
-            # sweep.
-            candidates = (
-                range(-1, eligible) if last_success_pole >= 0 else range(eligible)
+            found, visited = _probe_step(
+                ctx, pole_order[:eligible], last_success_pole, diam, max_invalid, deadline
             )
-            for pole_idx in candidates:
-                pole = last_success_pole if pole_idx < 0 else int(pole_order[pole_idx])
-                if pole_idx >= 0 and pole == last_success_pole:
-                    continue
-                if diam <= max_invalid[pole]:
-                    # Property 1: a diameter known to fail at this pole also
-                    # rules out every smaller diameter.
-                    deadline.count("property1_skips")
-                    continue
-                scans += 1
-                deadline.count("circle_scans")
-                with deadline.span("circlescan", pole=pole):
-                    hit = circle_scan(ctx, pole, diam)
-                if hit is not None:
-                    search_ub = diam
-                    rows, theta = hit
-                    current_rows = rows
-                    current_circle = _circle_at(ctx, pole, diam, theta)
-                    deadline.offer(ctx, rows, diam)
-                    found_result = True
-                    last_success_pole = pole
-                    break
-                if diam > max_invalid[pole]:
-                    max_invalid[pole] = diam
+            scans += visited
+            if found is not None:
+                pole, (rows, theta) = found
+                search_ub = diam
+                current_rows = rows
+                current_circle = _circle_at(ctx, pole, diam, theta)
+                deadline.offer(ctx, rows, diam)
+                found_result = True
+                last_success_pole = pole
             step_span.set_attribute("found", found_result)
         if not found_result:
             search_lb = diam
@@ -189,10 +172,69 @@ def skeca_plus_state(
         group=group,
         gkg_group=greedy,
         alpha=alpha,
-        max_invalid_range=max_invalid,
+        max_invalid_range=max_invalid.tolist(),
         binary_steps=steps,
         scans=scans,
     )
+
+
+def _bound_probes(ctx: QueryContext, search_ub: float) -> None:
+    """Build pole views no wider than the rest of the search can probe.
+
+    No later probe exceeds ``search_ub``, nor does EXACT's candidate
+    diameter (2/√3 of a group this search encloses), so a pole first
+    probed now has its view built once at that width, whatever its later
+    probes; the slack absorbs the MCC's rounding.
+    """
+    ctx.probe_radius = SQRT3_FACTOR * search_ub * (1.0 + 1e-9)
+
+
+def _probe_step(ctx, poles, lead, diam, max_invalid, deadline):
+    """Sweep one binary step's poles at ``diam``; the first with a cover wins.
+
+    ``lead`` (the last-success pole, or -1) is swept alone first: it
+    usually hosts the next success too (the probe shrank only a little),
+    and then nothing else is swept.  The other eligible ``poles`` follow in
+    batches.  A pole where a larger diameter already failed is skipped
+    (Property 1 rules out every smaller one).  Only the poles the
+    pole-by-pole loop would reach before its first hit are counted, or
+    marked failed in ``max_invalid``.
+
+    Returns ``(found, visited)``: ``found`` is ``(pole, (rows, theta))`` or
+    None, ``visited`` the number of poles swept.
+    """
+    skipped = visited = 0
+    found = None
+    with deadline.span("circlescan", diameter=diam) as scan_span:
+        if lead >= 0:
+            if diam <= max_invalid[lead]:
+                skipped = 1
+            else:
+                visited = 1
+                hit = first_cover(ctx, (lead,), diam, deadline)[1]
+                if hit is None:
+                    max_invalid[lead] = diam
+                else:
+                    found = (lead, hit)
+        if found is None and len(poles):
+            rest = poles[poles != lead] if lead >= 0 else poles
+            skip = diam <= max_invalid[rest]
+            scan = rest[~skip]
+            index, hit = first_cover(ctx, scan, diam, deadline) if len(scan) else (0, None)
+            max_invalid[scan[:index]] = diam
+            if hit is None:
+                skipped += int(skip.sum())
+                visited += index
+            else:
+                skipped += int(skip[: np.flatnonzero(~skip)[index]].sum())
+                visited += index + 1
+                found = (int(scan[index]), hit)
+        scan_span.set_attribute("poles", visited)
+    if skipped:
+        deadline.count("property1_skips", skipped)
+    if visited:
+        deadline.count("circle_scans", visited)
+    return found, visited
 
 
 def _circle_at(ctx: QueryContext, pole_row: int, diameter: float, theta: float) -> Circle:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = ["ColumnarStore", "RentOrBuy"]
 
@@ -62,8 +63,6 @@ class RentOrBuy:
         holders, rows = self._holder_and_row_coords(term_id)
         if len(holders) == 0:
             return None
-        from scipy.spatial import cKDTree
-
         arr, _idx = cKDTree(holders).query(rows, k=1)
         self._term_nn[term_id] = arr
         return arr

@@ -127,3 +127,41 @@ class TestAlgorithmsEmitSpans:
         names = {s["name"] for s in tracer.finished_spans()}
         assert expected <= names, f"missing {expected - names} in {sorted(names)}"
         assert {"engine.query", "engine.algorithm"} <= names
+
+
+class TestSweepSpanGranularity:
+    """A sweep opens one span per step or batch, never one per pole."""
+
+    @pytest.fixture(scope="class")
+    def busy(self):
+        from tests.conftest import feasible_query, make_random_dataset
+
+        from repro import MCKEngine
+
+        # A query whose binary steps each sweep several poles.
+        dataset = make_random_dataset(41, n=300, vocab="abcdefghij", max_terms=2)
+        return MCKEngine(dataset), feasible_query(dataset, 2, 4)
+
+    @staticmethod
+    def _run(busy, algorithm):
+        engine, query = busy
+        tracer = Tracer()
+        instr = Instrumentation(tracer=tracer)
+        engine.query(query, algorithm=algorithm, instrumentation=instr)
+        return tracer.finished_spans(), instr.counters
+
+    @pytest.mark.parametrize("algorithm", ["SKECa+", "EXACT"])
+    def test_one_circlescan_span_per_step(self, busy, algorithm):
+        spans, counters = self._run(busy, algorithm)
+        scans = [s for s in spans if s["name"] == "circlescan"]
+        # The warm-up's opening probe, then one per binary step.
+        assert len(scans) <= counters["binary_steps"] + 1
+        assert counters["circle_scans"] > len(scans)
+
+    def test_one_candidate_enumeration_span_per_batch(self, busy):
+        spans, counters = self._run(busy, "EXACT")
+        batches = [s for s in spans if s["name"] == "exact.candidate_enumeration"]
+        # Every surviving pole fits one row budget on this small set.
+        assert len(batches) == 1
+        assert batches[0]["attributes"]["poles"] > 1
+        assert batches[0]["attributes"]["candidates"] == counters["candidate_circles"]

@@ -1,5 +1,9 @@
 """Tests for MCKQuery compilation and the QueryContext substrate."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -158,3 +162,21 @@ class TestCoverRadii:
         ctx = compile_query(ds, ["a", "b"])
         _tree, holders = ctx.keyword_tree(0)  # bit 0 = 'a'
         assert sorted(ctx.relevant_ids[r] for r in holders) == [0, 3]
+
+
+class TestImportCost:
+    def test_kd_tree_module_loads_before_the_first_query(self):
+        # The first SKECa+/GKG query must not pay for importing scipy.spatial.
+        script = (
+            "import sys\n"
+            "from repro import Dataset, MCKEngine\n"
+            "MCKEngine(Dataset.from_records([(0, 0, ['a']), (1, 1, ['b'])]))\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "True"

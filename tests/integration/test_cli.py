@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench import Reply, Workload, drive
 from repro.cli import main
+from repro.serving.stats import MetricsRegistry
 
 
 @pytest.fixture
@@ -160,6 +161,18 @@ class TestMetricsCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "# TYPE mck_algorithm_seconds histogram" in out
+
+    def test_bench_queries_reach_the_dumped_registry(self, capsys):
+        # The default registry is process-wide, so compare before and after.
+        before = MetricsRegistry.default().as_dict()["queries_total"]
+        code = main(
+            ["metrics", "bench", "--scale", "0.005", "--m", "2",
+             "--queries", "3", "--operations", "6"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        dumped = json.loads(out[out.rindex("\n{") + 1:])
+        assert dumped["queries_total"] == before + 6
 
     def test_rejects_nested_metrics(self, capsys):
         assert main(["metrics", "metrics"]) == 2
