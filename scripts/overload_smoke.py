@@ -7,9 +7,10 @@ Four scenarios over a single-worker service (deterministic queueing):
    admission queue: requests are shed (``QueryRejected``, never a hang),
    the accepted requests' execution p95 stays within 2x the unloaded p95,
    and the conservation counters balance at quiescence.
-2. **Limiter.** An injected circleScan slowdown drags latency past the
-   AIMD tolerance: the concurrency limit backs off multiplicatively, then
-   recovers to near its pre-incident level once the fault is disarmed.
+2. **Limiter.** On a fake clock, a fixed service time turns 10x slower
+   for an incident, past the AIMD tolerance: the concurrency limit backs
+   off multiplicatively, then recovers to near its pre-incident level once
+   the service time returns.
 3. **Policy.** The same burst under ``deadline-aware`` vs
    ``reject-newest``: the deadline-aware policy sheds requests that could
    not have met their deadline anyway, so a strictly higher fraction of
@@ -41,10 +42,15 @@ logging.getLogger("repro").setLevel(logging.ERROR)
 
 from repro import Dataset  # noqa: E402
 from repro.exceptions import QueryRejected  # noqa: E402
-from repro.serving import MetricsRegistry, QueryService  # noqa: E402
-from repro.testing import faults  # noqa: E402
+from repro.serving import (  # noqa: E402
+    AdmissionController,
+    MetricsRegistry,
+    QueryService,
+)
 
 QUERY = ["shrine", "shop", "restaurant", "hotel"]
+#: The limiter scenario's fixed per-request service time on its fake clock.
+SERVICE_SECONDS = 0.005
 VOCAB = [
     "shrine", "shop", "restaurant", "hotel", "cafe", "museum",
     "park", "bar", "gym", "pier", "temple", "market",
@@ -133,29 +139,48 @@ def check_burst(dataset):
     )
 
 
-def check_limiter_adaptation(dataset):
-    with QueryService(
-        dataset, max_workers=1, cache_size=0, metrics=MetricsRegistry()
-    ) as service:
-        for _ in range(10):
-            service.query(QUERY, algorithm="SKECa+")
-        pre_incident = service.limiter.limit
+class FakeClock:
+    """A clock that moves only when a served request advances it."""
 
-        with faults.injected("core.circlescan", delay=0.01, times=None):
-            for _ in range(8):
-                service.query(QUERY, algorithm="SKECa+")
-        dipped = service.limiter.limit
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def serve(self, seconds):
+        self.now += seconds
+
+
+def check_limiter_adaptation():
+    """Back-off and recovery on a fake clock, so host noise cannot move it.
+
+    A one-worker controller with its default limiter (the one
+    ``QueryService`` builds for one worker); each request's execution
+    advances the clock by a fixed service time, ten times longer during
+    the incident.
+    """
+    clock = FakeClock()
+    with AdmissionController(max_workers=1, clock=clock) as admission:
+        limiter = admission.limiter
+
+        def run(requests, seconds):
+            for _ in range(requests):
+                admission.submit(clock.serve, seconds, key="SKECa+").result(timeout=60)
+
+        run(10, SERVICE_SECONDS)
+        pre_incident = limiter.limit
+        run(8, 10 * SERVICE_SECONDS)
+        dipped = limiter.limit
         if dipped >= pre_incident:
             fail(
                 f"limit did not back off under slowdown: "
                 f"{pre_incident:.2f} -> {dipped:.2f}"
             )
-        if service.limiter.decreases == 0:
+        if limiter.decreases == 0:
             fail("slowdown triggered no multiplicative decreases")
-
-        for _ in range(40):
-            service.query(QUERY, algorithm="SKECa+")
-        recovered = service.limiter.limit
+        run(40, SERVICE_SECONDS)
+        recovered = limiter.limit
     if recovered <= dipped:
         fail(f"limit never recovered: dipped {dipped:.2f}, now {recovered:.2f}")
     if recovered < 0.75 * pre_incident:
@@ -305,7 +330,7 @@ def main() -> int:
     dataset = make_dataset()
     print("overload-smoke: scenarios")
     check_burst(dataset)
-    check_limiter_adaptation(dataset)
+    check_limiter_adaptation()
     check_deadline_aware_beats_reject_newest(dataset)
     with tempfile.TemporaryDirectory() as tmp:
         check_cli(tmp)

@@ -15,12 +15,15 @@ Checks, in order:
    buckets and both ``cache="hit"`` and ``cache="miss"`` series;
 4. sweeps batch their poles: at most one ``circlescan`` span per warm-up
    or binary step, and one ``exact.candidate_enumeration`` span (with a
-   ``poles`` count) per batch.
+   ``poles`` count) per batch;
+5. under SKECa+ and EXACT every ``index.cover_radii_columnar`` span
+   reports a finite ``bound`` and its ``rows_queried``.
 
 Run from the repo root: ``python scripts/trace_smoke.py [algorithm]``.
 """
 
 import json
+import math
 import os
 from collections import Counter as _Counter
 import re
@@ -138,6 +141,19 @@ def main() -> int:
                 f"spans for {count['exact.skeca_plus_bound']} EXACT queries "
                 "(one batch each on this small set)"
             )
+
+        # SKECa+ and EXACT read coverage radii only up to their probe
+        # radius: an unbounded radii pass would cost a KD query per row.
+        if algorithm in ("SKECa+", "EXACT"):
+            radii = [e for e in spans if e["name"] == "index.cover_radii_columnar"]
+            if not radii:
+                fail("no index.cover_radii_columnar span")
+            for event in radii:
+                bound = event.get("args", {}).get("bound")
+                if bound is None or not math.isfinite(float(bound)):
+                    fail(f"{algorithm} computed coverage radii without a finite bound: {event}")
+                if "rows_queried" not in event.get("args", {}):
+                    fail(f"cover radii span without rows_queried: {event}")
 
         # -- Prometheus text --------------------------------------------- #
         prom = prom_path.read_text()

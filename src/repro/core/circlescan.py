@@ -88,7 +88,7 @@ def _sweep_view(ctx: QueryContext, pole_row: int, diameter: float):
     reads a radius-bounded pole cache, a bit-identical prefix of the full
     distance sort the object path reads.
     """
-    if diameter < ctx.cover_radii[pole_row] * (1.0 - 1e-12):
+    if ctx.hopeless(diameter, pole_row):
         return None
     if vectorized_enabled():
         cache = ctx.pole_cache_bounded(pole_row, diameter)

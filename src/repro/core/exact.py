@@ -107,8 +107,7 @@ def exact_from_state(
     lemma3 = max_inv >= diam
     pruned_poles = int(lemma3.sum())
     deadline.count("pruned_poles", pruned_poles)
-    hopeless = diam < ctx.cover_radii * (1.0 - 1e-12)
-    poles = np.flatnonzero(~(lemma3 | hopeless))
+    poles = np.flatnonzero(~(lemma3 | ctx.hopeless(diam)))
     searched = 0
     # Candidates of a batch of poles come from one segmented sweep; the
     # branch-and-bound then visits them pole by pole in the same order.

@@ -27,6 +27,12 @@ from .objects import Dataset
 
 __all__ = ["MCKQuery", "QueryContext", "PoleCache", "compile_query"]
 
+#: Relative headroom of the coverage radii read for a precheck at diameter
+#: D: the precheck keeps radii up to D / (1 - 1e-12), and 1e-11 covers that
+#: with rounding to spare while staying far below the 1e-9 slack of
+#: ``probe_radius``, so a probe within the search's bound reuses its radii.
+_PRECHECK_REACH = 1.0 + 1e-11
+
 
 class PoleCache:
     """Distance-sorted view of O' around one pole object.
@@ -143,7 +149,10 @@ class QueryContext:
         #: Cap on cached poles; 1024 poles over a few thousand relevant
         #: objects stays well under 100 MB.
         self._pole_cache_limit = 1024
-        self._cover_radii: Optional[np.ndarray] = None
+        #: ``(bound, radii)``: radii exact up to ``bound``.  One attribute,
+        #: so a thread sharing this context never pairs one call's array
+        #: with another call's bound.
+        self._cover_radii: Tuple[float, Optional[np.ndarray]] = (-math.inf, None)
         self._keyword_trees: dict = {}
         self._relevant_kdtree = None
         self._masks_np: Optional[np.ndarray] = self.virtual_tree.masks_np
@@ -211,43 +220,82 @@ class QueryContext:
 
     @property
     def cover_radii(self) -> np.ndarray:
-        """Per-pole coverage radius (computed lazily, once per query).
+        """Every row's exact coverage radius: :meth:`cover_radii_within` ``inf``."""
+        return self.cover_radii_within(math.inf)
 
-        ``cover_radii[row]`` is the largest over the m query keywords of
-        the distance from pole ``row`` to its nearest holder of that
-        keyword.  A closed disc of diameter D around the pole can enclose a
-        covering group iff ``D >= cover_radii[row]`` — the O(1) precheck
-        that lets circleScan skip hopeless (pole, diameter) probes without
-        touching the sweeping area.
+    def cover_radii_within(self, bound: float) -> np.ndarray:
+        """Per-pole coverage radius, exact up to ``bound`` (cached per bound).
+
+        ``radii[row]`` is the largest over the m query keywords of the
+        distance from pole ``row`` to its nearest holder of that keyword.
+        A closed disc of diameter D around the pole can enclose a covering
+        group iff ``D >= radii[row]`` — the O(1) precheck that lets
+        circleScan skip hopeless (pole, diameter) probes without touching
+        the sweeping area.  A search that never probes past ``bound`` reads
+        no radius above it, so rows whose radius exceeds ``bound`` hold
+        ``+inf``; the rest are bit-identical to the unbounded radii.
 
         Each keyword's distances come from the store's column once bought
-        (``ColumnarStore.term_nn_dists``), else from :meth:`keyword_tree`.
-        Under ``exclude`` the holder set shrinks, so the store is not asked.
+        (``ColumnarStore.term_nn_dists``; every call charges |O'| rent),
+        else from :meth:`keyword_tree`, queried only at the rows still
+        within ``bound``.  Under ``exclude`` the holder set shrinks, so the
+        store is not asked.  Contexts are shared across algorithms and
+        threads: a read above the cached bound recomputes at the wider one.
         """
-        if self._cover_radii is None:
-            columns = None
-            if _vectorized_enabled() and not self.excluded_ids:
-                columns = _columns_of(self.dataset)
-            with _trace_span("index.cover_radii_columnar"):
-                radii = np.zeros(len(self.relevant_ids), dtype=np.float64)
-                positions = None
-                for bit_pos, tid in enumerate(self.term_ids):
-                    dists = None
-                    if columns is not None:
-                        dists = columns.term_nn_dists(tid, len(radii))
-                    if dists is None:
-                        # A holder is its own nearest holder: query the rest.
-                        tree, holders = self.keyword_tree(bit_pos)
-                        rows = np.ones(len(radii), dtype=bool)
-                        rows[holders] = False
-                        nearest, _idx = tree.query(self.coords[rows], k=1)
-                    else:
-                        if positions is None:
-                            positions = columns.positions_of(self.relevant_ids)
-                        rows, nearest = slice(None), dists[positions]
-                    radii[rows] = np.maximum(radii[rows], nearest)
-            self._cover_radii = radii
-        return self._cover_radii
+        cached_bound, cached = self._cover_radii
+        if bound <= cached_bound:
+            return cached
+        columns = None
+        if _vectorized_enabled() and not self.excluded_ids:
+            columns = _columns_of(self.dataset)
+        # The KD tree compares squared distances strictly, so a radius
+        # exactly at ``bound`` needs the slack `_disc_candidates` uses.
+        reach = bound * (1.0 + 1e-9) + 1e-12
+        with _trace_span(
+            "index.cover_radii_columnar",
+            bound=float(bound) if math.isfinite(bound) else "inf",
+        ) as sp:
+            radii = np.zeros(len(self.relevant_ids), dtype=np.float64)
+            positions = None
+            queried = 0
+            for bit_pos, tid in enumerate(self.term_ids):
+                dists = None
+                if columns is not None:
+                    dists = columns.term_nn_dists(tid, len(radii))
+                if dists is None:
+                    # A holder is its own nearest holder, and a row already
+                    # past the bound stays past it: query the rest.
+                    tree, holders = self.keyword_tree(bit_pos)
+                    rows = radii <= bound
+                    rows[holders] = False
+                    nearest, _idx = tree.query(
+                        self.coords[rows], k=1, distance_upper_bound=reach
+                    )
+                    queried += len(nearest)
+                else:
+                    if positions is None:
+                        positions = columns.positions_of(self.relevant_ids)
+                    rows, nearest = slice(None), dists[positions]
+                radii[rows] = np.maximum(radii[rows], nearest)
+            radii[radii > bound] = math.inf
+            sp.set_attribute("rows_queried", queried)
+        radii.flags.writeable = False
+        # A wider pass on another thread may have landed meanwhile: keep it.
+        # Racing here can only cache a narrower pair, which stays consistent.
+        if bound > self._cover_radii[0]:
+            self._cover_radii = (bound, radii)
+        return radii
+
+    def hopeless(self, diameter: float, rows=slice(None)):
+        """True where no disc of ``diameter`` through the pole covers the query.
+
+        The coverage-radius precheck, with a 1e-12 relative tolerance
+        (paper §4.3.2: "the checking on o is thus avoided").  It reads
+        radii exact up to ``diameter * _PRECHECK_REACH``, past every radius
+        the tolerance keeps, so the answer equals the unbounded one.
+        """
+        radii = self.cover_radii_within(diameter * _PRECHECK_REACH)
+        return diameter < radii[rows] * (1.0 - 1e-12)
 
     def keyword_tree(self, bit_pos: int):
         """KD-tree over the holders of query keyword ``bit_pos``.

@@ -84,7 +84,7 @@ def find_oskec(
     px, py = ctx.location_of_row(pole_row)
     pole = (px, py)
 
-    if current.diameter < ctx.cover_radii[pole_row] * (1.0 - 1e-12):
+    if ctx.hopeless(current.diameter, pole_row):
         # The whole search space around this pole cannot cover the query.
         return current
     if _vectorized_enabled():

@@ -83,6 +83,8 @@ def skeca(
     # Poles are visited in natural O' order, as in the paper's Algorithm 1:
     # SKECa's weakness — a loose upper bound when early poles yield large
     # circles — is part of what Figure 7 measures, so no reordering here.
+    # Every pole's precheck reads the exact coverage radii, computed once.
+    ctx.cover_radii  # noqa: B018
     for pole in range(len(ctx.relevant_ids)):
         deadline.check()
         with deadline.span("skeca.pole", pole=pole):

@@ -94,13 +94,17 @@ def skeca_plus_state(
     search_ub = current_circle.diameter
     search_lb = greedy.diameter / 2.0
     max_invalid = np.zeros(n_relevant, dtype=np.float64)
-    _bound_probes(ctx, search_ub)
+    probe_bound = _bound_probes(ctx, search_ub)
 
     # Probe poles in ascending coverage-radius order: poles that can host a
     # small keywords enclosing circle come first, so successful probes break
     # early, and the searchsorted prefix skips every pole whose surrounding
-    # objects cannot cover the query at the probe diameter at all.
-    radii = ctx.cover_radii
+    # objects cannot cover the query at the probe diameter at all.  No probe
+    # here, nor EXACT's candidate diameter, exceeds the probe radius, so
+    # radii past it are never read (+inf, sorted last).  The bound is this
+    # search's own: a search sharing the context may tighten
+    # ``ctx.probe_radius`` meanwhile.
+    radii = ctx.cover_radii_within(probe_bound)
     pole_order = np.argsort(radii, kind="stable")
     sorted_radii = radii[pole_order]
 
@@ -178,15 +182,17 @@ def skeca_plus_state(
     )
 
 
-def _bound_probes(ctx: QueryContext, search_ub: float) -> None:
+def _bound_probes(ctx: QueryContext, search_ub: float) -> float:
     """Build pole views no wider than the rest of the search can probe.
 
     No later probe exceeds ``search_ub``, nor does EXACT's candidate
     diameter (2/√3 of a group this search encloses), so a pole first
     probed now has its view built once at that width, whatever its later
-    probes; the slack absorbs the MCC's rounding.
+    probes; the slack absorbs the MCC's rounding.  Returns that width.
     """
-    ctx.probe_radius = SQRT3_FACTOR * search_ub * (1.0 + 1e-9)
+    width = SQRT3_FACTOR * search_ub * (1.0 + 1e-9)
+    ctx.probe_radius = width
+    return width
 
 
 def _probe_step(ctx, poles, lead, diam, max_invalid, deadline):

@@ -597,7 +597,7 @@ class AdmissionController:
             self._run_entry(entry)
 
     def _run_entry(self, entry: _Entry) -> None:
-        started = time.perf_counter()
+        started = self._clock()
         failed = False
         try:
             result = entry.fn(*entry.args)
@@ -606,7 +606,7 @@ class AdmissionController:
             entry.future.set_exception(err)
         else:
             entry.future.set_result(result)
-        latency = time.perf_counter() - started
+        latency = self._clock() - started
         # The limiter takes its own (leaf) lock; feed it outside ours.
         self.limiter.on_complete(latency, key=entry.key)
         self._on_limit(self.limiter.limit)

@@ -157,6 +157,19 @@ class TestAdaptiveConcurrencyLimiter:
         with pytest.raises(ValueError):
             AdaptiveConcurrencyLimiter(**kwargs)
 
+    def test_controller_times_samples_with_its_clock(self):
+        now = [0.0]
+
+        def serve(seconds):
+            now[0] += seconds
+
+        limiter = AdaptiveConcurrencyLimiter(initial=4.0)
+        with AdmissionController(
+            max_workers=1, limiter=limiter, clock=lambda: now[0]
+        ) as controller:
+            controller.submit(serve, 2.5, key="EXACT").result(timeout=WAIT)
+        assert limiter.baseline("EXACT") == 2.5
+
 
 # --------------------------------------------------------------------- #
 # Admission controller: policies
