@@ -1,17 +1,20 @@
 #!/usr/bin/env python
 """Overload-protection smoke check: admission, shedding, adaptive limits.
 
-Four scenarios over a single-worker service (deterministic queueing):
+Four scenarios over a single-worker admission controller.  The first
+three run on the controller's injectable fake clock with a fixed service
+time, so host load cannot move what they measure:
 
-1. **Burst.** A 10x open-loop Poisson burst against a capacity-32
-   admission queue: requests are shed (``QueryRejected``, never a hang),
-   the accepted requests' execution p95 stays within 2x the unloaded p95,
-   and the conservation counters balance at quiescence.
-2. **Limiter.** On a fake clock, a fixed service time turns 10x slower
-   for an incident, past the AIMD tolerance: the concurrency limit backs
-   off multiplicatively, then recovers to near its pre-incident level once
+1. **Burst.** 200 requests arrive while one holds the worker, against a
+   capacity-32 admission queue: requests are shed (``QueryRejected``,
+   never a hang), the accepted requests' execution p95 stays within 2x
+   the unloaded p95, and the conservation counters balance at
+   quiescence.
+2. **Limiter.** The fixed service time turns 10x slower for an
+   incident, past the AIMD tolerance: the concurrency limit backs off
+   multiplicatively, then recovers to near its pre-incident level once
    the service time returns.
-3. **Policy.** The same burst under ``deadline-aware`` vs
+3. **Policy.** A 120-request burst under ``deadline-aware`` vs
    ``reject-newest``: the deadline-aware policy sheds requests that could
    not have met their deadline anyway, so a strictly higher fraction of
    its *accepted* requests finish inside the deadline.
@@ -26,10 +29,10 @@ Run from the repo root: ``python scripts/overload_smoke.py``.
 import json
 import logging
 import os
-import random
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -40,36 +43,16 @@ sys.path.insert(0, str(REPO / "src"))
 # per-request warnings; the smoke asserts on counters, not log lines.
 logging.getLogger("repro").setLevel(logging.ERROR)
 
-from repro import Dataset  # noqa: E402
 from repro.exceptions import QueryRejected  # noqa: E402
-from repro.serving import (  # noqa: E402
-    AdmissionController,
-    MetricsRegistry,
-    QueryService,
-)
+from repro.serving import AdmissionController  # noqa: E402
 
-QUERY = ["shrine", "shop", "restaurant", "hotel"]
-#: The limiter scenario's fixed per-request service time on its fake clock.
+#: The fixed per-request service time on the scenarios' fake clocks.
 SERVICE_SECONDS = 0.005
-VOCAB = [
-    "shrine", "shop", "restaurant", "hotel", "cafe", "museum",
-    "park", "bar", "gym", "pier", "temple", "market",
-]
 
 
 def fail(message):
     print(f"overload-smoke: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
-
-
-def make_dataset(seed: int = 7, n: int = 250) -> Dataset:
-    """A dataset big enough that one query costs a few milliseconds."""
-    rng = random.Random(seed)
-    records = []
-    for _ in range(n):
-        kws = rng.sample(VOCAB, rng.randint(1, 3))
-        records.append((rng.uniform(0, 100), rng.uniform(0, 100), kws))
-    return Dataset.from_records(records, name="overload-smoke")
 
 
 def percentile(samples, q):
@@ -85,40 +68,80 @@ def assert_conserved(snapshot):
         fail(f"conservation broken: accepted != completed + failed: {snapshot}")
 
 
-def check_burst(dataset):
-    with QueryService(
-        dataset,
-        max_workers=1,
-        cache_size=0,
-        admission_capacity=32,
-        metrics=MetricsRegistry(),
-    ) as service:
-        unloaded = []
-        for _ in range(20):
-            result = service.query(QUERY, algorithm="SKECa+")
-            if not result.ok:
-                fail(f"unloaded query failed: {result.error}")
-            unloaded.append(result.stats.total_seconds)
+class FakeClock:
+    """A clock that moves only when a served request advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def serve(self, seconds):
+        self.now += seconds
+
+
+class GatedService:
+    """Requests that take a fixed service time on a fake clock.
+
+    Each request waits on ``gate`` (so a burst can fill the queue behind
+    the one executing request), then advances the clock by the service
+    time; its result is the fake-clock ``(execution seconds, finished
+    at)`` pair, so no host scheduling noise reaches a measurement.
+    """
+
+    def __init__(self, clock, seconds=SERVICE_SECONDS):
+        self.clock = clock
+        self.seconds = seconds
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def __call__(self):
+        started = self.clock()
+        self.gate.wait()
+        self.clock.serve(self.seconds)
+        return self.clock() - started, self.clock()
+
+    def hold_first(self, admission, submit):
+        """Close the gate and submit one request; return once it executes."""
+        self.gate.clear()
+        first = submit()
+        while admission.inflight < 1:
+            time.sleep(0.001)
+        return first
+
+
+def check_burst():
+    """A burst far past capacity against a one-worker controller.
+
+    On the controller's fake clock with a fixed service time (as the
+    limiter scenario): the first request holds the worker while the burst
+    arrives, so the capacity-32 queue fills and the rest is shed.
+    """
+    clock = FakeClock()
+    service = GatedService(clock)
+    with AdmissionController(max_workers=1, capacity=32, clock=clock) as admission:
+
+        def submit():
+            return admission.submit(service, key="SKECa+")
+
+        unloaded = [submit().result(timeout=60)[0] for _ in range(20)]
         unloaded_p95 = percentile(unloaded, 95)
 
-        rate = 10.0 / max(unloaded_p95, 1e-4)  # 10x the service rate
-        rng = random.Random(1)
-        futures = []
-        for _ in range(200):
-            time.sleep(rng.expovariate(rate))
+        futures = [service.hold_first(admission, submit)]
+        for _ in range(199):
             try:
-                futures.append(service.submit(QUERY, algorithm="SKECa+"))
+                futures.append(submit())
             except QueryRejected:
                 pass  # counted by the controller; the point is no hang
+        service.gate.set()
         loaded = []
         for future in futures:
             try:
-                result = future.result(timeout=120)
+                loaded.append(future.result(timeout=120)[0])
             except QueryRejected:
                 continue
-            if result.ok:
-                loaded.append(result.stats.total_seconds)
-        snapshot = service.admission_dict()
+        snapshot = admission.counters()
 
     if snapshot["rejected"] == 0:
         fail("a 10x burst against capacity 32 shed nothing")
@@ -137,19 +160,6 @@ def check_burst(dataset):
         f"accepted_p95={loaded_p95 * 1e3:.2f}ms "
         f"rejected={snapshot['rejected']}/{snapshot['submitted']}"
     )
-
-
-class FakeClock:
-    """A clock that moves only when a served request advances it."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def serve(self, seconds):
-        self.now += seconds
 
 
 def check_limiter_adaptation():
@@ -194,61 +204,51 @@ def check_limiter_adaptation():
     )
 
 
-def _run_policy(dataset, policy):
-    """Burst one policy; return (accepted, met_deadline, rejected)."""
-    with QueryService(
-        dataset,
+def _run_policy(policy):
+    """Burst one policy; return (accepted, met_deadline, rejected).
+
+    Every request arrives at fake time 0 with ~10 service times of
+    end-to-end budget while the first one holds the worker; the
+    controller's p95 service-time estimate is the fixed service time.
+    """
+    clock = FakeClock()
+    service = GatedService(clock)
+    deadline = 10.0 * SERVICE_SECONDS
+    with AdmissionController(
         max_workers=1,
-        cache_size=0,
-        admission_capacity=40,
-        shed_policy=policy,
-        metrics=MetricsRegistry(),
-    ) as service:
-        warm = []
-        for _ in range(15):
-            result = service.query(QUERY, algorithm="SKECa+")
-            warm.append(result.stats.total_seconds)
-        # Prime the p95 histogram, then give each burst request ~10
-        # service times of end-to-end budget.
-        deadline = 10.0 * max(percentile(warm, 95), 1e-3)
+        capacity=40,
+        policy=policy,
+        service_time=lambda _key: SERVICE_SECONDS,
+        clock=clock,
+    ) as admission:
 
-        done_at = {}
-        entries = []
+        def submit():
+            return admission.submit(service, timeout=deadline, key="SKECa+")
+
+        futures = [service.hold_first(admission, submit)]
         rejected = 0
-        for _ in range(120):
-            submitted_at = time.monotonic()
+        for _ in range(119):
             try:
-                future = service.submit(
-                    QUERY, algorithm="SKECa+", timeout=deadline
-                )
+                futures.append(submit())
             except QueryRejected:
                 rejected += 1
-                continue
-            future.add_done_callback(
-                lambda f: done_at.setdefault(f, time.monotonic())
-            )
-            entries.append((submitted_at, future))
-
+        service.gate.set()
         accepted = met = 0
-        for submitted_at, future in entries:
+        for future in futures:
             try:
-                result = future.result(timeout=120)
+                _seconds, finished_at = future.result(timeout=120)
             except QueryRejected:
                 rejected += 1
-                continue
-            if not result.ok:
                 continue
             accepted += 1
-            if done_at[future] - submitted_at <= deadline:
+            if finished_at <= deadline:
                 met += 1
     return accepted, met, rejected
 
 
-def check_deadline_aware_beats_reject_newest(dataset):
-    newest_accepted, newest_met, _ = _run_policy(dataset, "reject-newest")
-    aware_accepted, aware_met, aware_rejected = _run_policy(
-        dataset, "deadline-aware"
-    )
+def check_deadline_aware_beats_reject_newest():
+    newest_accepted, newest_met, _ = _run_policy("reject-newest")
+    aware_accepted, aware_met, aware_rejected = _run_policy("deadline-aware")
     if aware_accepted == 0:
         fail("deadline-aware accepted nothing")
     if aware_rejected == 0:
@@ -327,11 +327,10 @@ def check_cli(tmp):
 
 
 def main() -> int:
-    dataset = make_dataset()
     print("overload-smoke: scenarios")
-    check_burst(dataset)
+    check_burst()
     check_limiter_adaptation()
-    check_deadline_aware_beats_reject_newest(dataset)
+    check_deadline_aware_beats_reject_newest()
     with tempfile.TemporaryDirectory() as tmp:
         check_cli(tmp)
     print("overload-smoke: OK")

@@ -126,10 +126,8 @@ class QueryContext:
         self.excluded_ids = frozenset(exclude or ())
         self.term_ids = [dataset.vocabulary.id_of(t) for t in query.keywords]
         self.virtual_tree = VirtualBRTree.build(
-            dataset.inverted,
+            dataset,
             self.term_ids,
-            dataset.locations,
-            dataset.term_ids,
             query_terms=query.keywords,
             exclude=self.excluded_ids or None,
             columns=_columns_of(dataset),

@@ -27,7 +27,6 @@ __all__ = [
     "iter_bits",
     "popcount",
     "pack_masks",
-    "unpack_mask_row",
     "bits_matrix",
 ]
 
@@ -79,14 +78,6 @@ def pack_masks(masks: Sequence[int], width: int) -> np.ndarray:
     return packed
 
 
-def unpack_mask_row(packed_row: np.ndarray) -> int:
-    """Rebuild the arbitrary-width Python int mask of one packed row."""
-    mask = 0
-    for w in range(len(packed_row) - 1, -1, -1):
-        mask = (mask << 64) | int(packed_row[w])
-    return mask
-
-
 def bits_matrix(masks: Sequence[int], width: int) -> np.ndarray:
     """Expand masks into an ``(n, width)`` uint8 0/1 matrix.
 
@@ -122,11 +113,26 @@ class KeywordVocabulary:
         self._id_to_term: List[str] = []
         self._frequency: List[int] = []
 
+    @classmethod
+    def from_terms(
+        cls, terms: Sequence[str], frequencies: Iterable[int]
+    ) -> "KeywordVocabulary":
+        """A vocabulary whose term ``i`` is ``terms[i]`` (terms must be unique)."""
+        vocab = cls()
+        vocab._id_to_term = list(terms)
+        vocab._term_to_id = dict(zip(vocab._id_to_term, range(len(terms))))
+        vocab._frequency = list(frequencies)
+        return vocab
+
     def __len__(self) -> int:
         return len(self._id_to_term)
 
     def __contains__(self, term: str) -> bool:
         return term in self._term_to_id
+
+    def terms(self) -> List[str]:
+        """Every term in id order (the vocabulary's own list: do not mutate)."""
+        return self._id_to_term
 
     def add(self, term: str) -> int:
         """Intern ``term``; returns its id. Does not touch frequencies."""

@@ -1,13 +1,14 @@
 """Struct-of-arrays columnar storage for geo-textual objects.
 
-A :class:`ColumnarStore` is the hot-path twin of the row/object containers
-(:class:`~repro.core.objects.Dataset`, the live store's sealed base and
-overlay views): contiguous ``x`` / ``y`` coordinate columns, the object-id
-column, and the keyword sets flattened to a CSR pair (``term_indptr``,
-``term_ids``).  The compiled query surface gathers from these columns
-batch-wise — materialising ``O'`` for a query becomes a handful of numpy
-gathers and one ``bitwise_or.reduceat`` instead of a Python loop over
-objects and their keyword tuples.
+A :class:`ColumnarStore` holds the objects of a sealed
+:class:`~repro.core.objects.Dataset` (its source of truth) and of a live
+delta's add rows: contiguous ``x`` / ``y`` coordinate columns, the
+object-id column, the keyword sets flattened to a CSR pair
+(``term_indptr``, ``term_ids``), and the term-major posting CSR over them
+(:attr:`~ColumnarStore.postings`).  The compiled query surface gathers
+from these columns batch-wise — materialising ``O'`` for a query becomes
+a handful of numpy gathers and one ``bitwise_or.reduceat`` instead of a
+Python loop over objects and their keyword tuples.
 
 Stores are immutable once built.  Dense stores (object ids are exactly
 ``0..n-1``) resolve ids by direct indexing; sparse stores (a live store's
@@ -82,6 +83,7 @@ class ColumnarStore(RentOrBuy):
         "term_indptr",
         "term_ids",
         "dense",
+        "_postings",
         "_by_term_x",
     )
 
@@ -103,6 +105,7 @@ class ColumnarStore(RentOrBuy):
         self.term_ids = term_ids
         n = len(oids)
         self.dense = bool(n == 0 or (oids[0] == 0 and oids[n - 1] == n - 1))
+        self._postings: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._by_term_x: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
@@ -170,17 +173,40 @@ class ColumnarStore(RentOrBuy):
     def __len__(self) -> int:
         return len(self.oids)
 
+    @property
+    def postings(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Term-major CSR ``(indptr, rows)`` over the CSR term lists (lazy).
+
+        Term ``t``'s holders are the ascending row positions
+        ``rows[indptr[t]:indptr[t + 1]]``: one stable argsort of the flat
+        term column, built on first use and read-only.
+        """
+        if self._postings is None:
+            n_terms = int(self.term_ids.max(initial=-1)) + 1
+            indptr = np.zeros(n_terms + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.term_ids, minlength=n_terms), out=indptr[1:])
+            owner = np.repeat(
+                np.arange(len(self.oids), dtype=np.int64), np.diff(self.term_indptr)
+            )
+            rows = owner[np.argsort(self.term_ids, kind="stable")]
+            rows.flags.writeable = False
+            self._postings = (indptr, rows)
+        return self._postings
+
     def holder_positions(self, term_id) -> np.ndarray:
         """Row positions of the objects carrying ``term_id`` (ascending).
 
         ``term_id`` may also be a sequence of ids: rows carrying any of them.
+        One term is a slice of :attr:`postings`; unknown ids hold nothing.
         """
-        if np.ndim(term_id):
-            hits = np.flatnonzero(np.isin(self.term_ids, term_id))
-        else:
-            hits = np.flatnonzero(self.term_ids == term_id)
-        rows = np.searchsorted(self.term_indptr, hits, side="right") - 1
-        return np.unique(rows)
+        indptr, rows = self.postings
+        wanted = [int(t) for t in np.atleast_1d(term_id) if 0 <= t < len(indptr) - 1]
+        parts = [rows[indptr[t] : indptr[t + 1]] for t in dict.fromkeys(wanted)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return rows[:0]
+        return np.unique(np.concatenate(parts))
 
     def _holder_and_row_coords(self, term_id: int) -> Tuple[np.ndarray, np.ndarray]:
         return (

@@ -16,11 +16,14 @@ relative to the universe.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set
 
 import numpy as np
 
 from ..kernels import vectorized_enabled
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .columns import ColumnarStore
 
 __all__ = ["InvertedIndex"]
 
@@ -31,64 +34,42 @@ _BITMAP_DENSITY = 0.05
 
 
 class InvertedIndex:
-    """Posting lists over integer term ids.
+    """Posting lists over integer term ids: a view of a store's postings.
 
-    Lists are kept sorted by object id, which makes unions (the ``O'``
-    computation) cheap and the output deterministic.
+    Lists are read off the store's term-major CSR
+    (:attr:`~repro.index.columns.ColumnarStore.postings`) and translated
+    to object ids, so they are sorted by object id, which makes unions
+    (the ``O'`` computation) cheap and the output deterministic.
     """
 
-    def __init__(self) -> None:
-        self._postings: Dict[int, List[int]] = {}
-        #: Sorted int64 posting columns, materialised lazily per term and
-        #: dropped whenever the term's list changes.
-        self._columns: Dict[int, np.ndarray] = {}
-        #: True while every list is sorted and deduplicated.
-        self._finalized = True
+    __slots__ = ("_store",)
 
-    def add_object(self, object_id: int, term_ids: Iterable[int]) -> None:
-        for tid in term_ids:
-            self._postings.setdefault(tid, []).append(object_id)
-            self._columns.pop(tid, None)
-        self._finalized = False
-
-    def finalize(self) -> None:
-        """Sort and deduplicate all posting lists (idempotent)."""
-        for tid, lst in self._postings.items():
-            if len(lst) > 1:
-                self._postings[tid] = sorted(set(lst))
-        self._finalized = True
+    def __init__(self, store: "ColumnarStore") -> None:
+        self._store = store
 
     def posting(self, term_id: int) -> List[int]:
         """Object ids containing ``term_id`` (empty list when unseen)."""
-        return self._postings.get(term_id, [])
+        return self.posting_column(term_id).tolist()
 
-    def posting_column(self, term_id: int) -> np.ndarray:
-        """The posting list as a sorted, deduplicated int64 column."""
-        col = self._columns.get(term_id)
-        if col is None:
-            col = np.asarray(self._postings.get(term_id, ()), dtype=np.int64)
-            if not self._finalized:
-                col = np.unique(col)
-            self._columns[term_id] = col
-        return col
+    def posting_column(self, term_id) -> np.ndarray:
+        """The posting list as a sorted, deduplicated int64 column.
+
+        A sequence of term ids gives the union of their lists.
+        """
+        store = self._store
+        rows = store.holder_positions(term_id)
+        return rows if store.dense else store.oids[rows]
 
     def document_frequency(self, term_id: int) -> int:
-        return len(self._postings.get(term_id, ()))
+        return len(self._store.holder_positions(term_id))
 
     def relevant_objects(self, term_ids: Sequence[int]) -> List[int]:
         """Sorted union of posting lists: the paper's ``O'`` for a query."""
         if vectorized_enabled():
-            cols = [self.posting_column(tid) for tid in set(term_ids)]
-            cols = [c for c in cols if len(c)]
-            if not cols:
-                return []
-            if len(cols) == 1:
-                return cols[0].tolist()
-            merged = np.unique(np.concatenate(cols))
-            return merged.tolist()
+            return self.posting_column(list(term_ids)).tolist()
         merged_set: Set[int] = set()
         for tid in term_ids:
-            merged_set.update(self._postings.get(tid, ()))
+            merged_set.update(self.posting(tid))
         return sorted(merged_set)
 
     def objects_with_all_terms(self, term_ids: Sequence[int]) -> List[int]:
@@ -111,7 +92,7 @@ class InvertedIndex:
         if not vectorized_enabled():
             acc: Optional[Set[int]] = None
             for tid in wanted:
-                holders = set(self._postings.get(tid, ()))
+                holders = set(self.posting(tid))
                 acc = holders if acc is None else (acc & holders)
                 if not acc:
                     return []
@@ -143,10 +124,11 @@ class InvertedIndex:
 
     def uncoverable_terms(self, term_ids: Sequence[int]) -> List[int]:
         """Query term ids with empty posting lists (query infeasible)."""
-        return [tid for tid in term_ids if not self._postings.get(tid)]
+        return [tid for tid in term_ids if not self.document_frequency(tid)]
 
     def __len__(self) -> int:
-        return len(self._postings)
+        """Number of terms with at least one holder."""
+        return int(np.count_nonzero(np.diff(self._store.postings[0])))
 
     def __contains__(self, term_id: int) -> bool:
-        return term_id in self._postings
+        return self.document_frequency(term_id) > 0

@@ -1,14 +1,14 @@
-"""CRC-checksummed on-disk segments for sealed bases.
+"""CRC-checksummed on-disk segments for sealed stores.
 
-A *segment* is the durable twin of a :class:`~repro.live.base.SealedBase`:
-the PR 6 columnar layout serialized section by section — the sorted oid
-column, the x/y coordinate columns, the CSR keyword term lists
-(``term_indptr`` / ``term_ids``), and the packed keyword-mask matrix
-(:func:`~repro.index.bitmap.pack_masks` over every object's global mask).
-Loading a segment rebuilds the identical sealed base — same term ids,
-same posting lists, same columns — without replaying a single WAL record
-or re-interning a single keyword, which is what makes restart-from-
-checkpoint a load instead of a rebuild.
+A *segment* is the durable form of a :class:`~repro.core.objects.Dataset`'s
+columns, serialized section by section — the sorted oid column, the x/y
+coordinate columns, the CSR keyword term lists (``term_indptr`` /
+``term_ids``), and the packed keyword-mask matrix (every object's global
+mask as little-endian uint64 words, the
+:func:`~repro.index.bitmap.pack_masks` layout).  Loading a segment adopts
+those columns as the identical store — same term ids, same posting lists
+— without replaying a single WAL record or re-interning a single keyword,
+which is what makes restart-from-checkpoint a load instead of a rebuild.
 
 Layout (little-endian throughout)::
 
@@ -31,12 +31,11 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..exceptions import SegmentError
-from .bitmap import pack_masks, unpack_mask_row
 from .columns import ColumnarStore
 
 __all__ = ["write_segment", "load_segment", "segment_info", "fsync_dir"]
@@ -83,29 +82,30 @@ def _unframe(line: bytes, what: str) -> bytes:
     return body
 
 
-def write_segment(base, path: str) -> Dict:
-    """Serialize a sealed base to ``path`` atomically; returns the header.
+def _packed_masks(cols: ColumnarStore, words: int) -> np.ndarray:
+    """``(n, words)`` uint64 global keyword masks of every CSR row.
 
-    ``base`` is any :class:`~repro.live.base.SealedBase`-shaped object
-    (``name``, ``vocabulary``, ``columns``).  The file appears at ``path``
-    fully written or not at all (write-temp, fsync, rename); the caller
-    is responsible for fsyncing the containing directory.
+    Raises ``IndexError`` when a term id needs more than ``words`` words.
+    """
+    masks = np.zeros((len(cols.oids), words), dtype=np.uint64)
+    tids = cols.term_ids
+    owner = np.repeat(np.arange(len(cols.oids)), np.diff(cols.term_indptr))
+    bits = np.left_shift(np.uint64(1), (tids % 64).astype(np.uint64))
+    np.bitwise_or.at(masks, (owner, tids // 64), bits)
+    return masks
+
+
+def write_segment(base, path: str) -> Dict:
+    """Serialize a sealed store to ``path`` atomically; returns the header.
+
+    ``base`` is a :class:`~repro.core.objects.Dataset` (``name``,
+    ``vocabulary``, ``columns``).  The file appears at ``path`` fully
+    written or not at all (write-temp, fsync, rename); the caller is
+    responsible for fsyncing the containing directory.
     """
     cols = base.columns
-    vocab = base.vocabulary
-    terms = [vocab.term_of(tid) for tid in range(len(vocab))]
-    # Masks are rebuilt row-wise from the CSR lists (arbitrary-width ints
-    # survive any vocabulary size); pack_masks flattens them to uint64
-    # words for the on-disk matrix.
-    row_masks: List[int] = []
-    indptr = cols.term_indptr
-    tids = cols.term_ids
-    for row in range(len(cols)):
-        mask = 0
-        for t in tids[indptr[row] : indptr[row + 1]]:
-            mask |= 1 << int(t)
-        row_masks.append(mask)
-    masks = pack_masks(row_masks, max(1, len(vocab)))
+    terms = list(base.vocabulary.terms())
+    masks = _packed_masks(cols, max(1, (len(terms) + 63) // 64))
 
     arrays = {
         "oids": np.ascontiguousarray(cols.oids, dtype="<i8"),
@@ -159,15 +159,15 @@ def segment_info(path: str) -> Dict:
 
 
 def load_segment(path: str):
-    """Load and fully verify a segment; returns the rebuilt sealed base.
+    """Load and fully verify a segment; returns the sealed store.
 
     Every section is CRC-checked against the header and the packed mask
-    matrix is cross-validated against the CSR term lists row by row, so a
-    segment that loads is internally consistent — a corrupt or torn file
-    raises :class:`~repro.exceptions.SegmentError` instead of producing a
-    silently wrong index.
+    matrix is cross-validated against the CSR term lists, so a segment
+    that loads is internally consistent — a corrupt or torn file raises
+    :class:`~repro.exceptions.SegmentError` instead of producing a
+    silently wrong index.  The checks run in numpy over whole columns.
     """
-    from ..live.base import SealedBase  # deferred: live imports index
+    from ..core.objects import Dataset  # deferred: core imports index
 
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -216,39 +216,38 @@ def load_segment(path: str):
         int(term_ids.min()) < 0 or int(term_ids.max()) >= len(terms)
     ):
         raise SegmentError(f"{path}: term id outside vocabulary")
-    if n and len(masks) != n:
+    if len(set(terms)) != len(terms):
+        raise SegmentError(f"{path}: duplicate vocabulary terms")
+    if n and (masks.ndim != 2 or len(masks) != n):
         raise SegmentError(f"{path}: mask matrix row count mismatch")
-
-    base = SealedBase(name=str(header.get("name", "live-base")))
-    vocab = base.vocabulary
-    for term in terms:
-        vocab.add(term)
-    if len(term_ids):
-        freq = np.bincount(term_ids, minlength=len(terms))
-        vocab._frequency = [int(f) for f in freq]
-
-    from ..core.objects import GeoObject
-
-    for row in range(n):
-        oid = int(oids[row])
-        row_tids = tuple(
-            int(t) for t in term_ids[int(indptr[row]) : int(indptr[row + 1])]
-        )
-        if not row_tids:
-            raise SegmentError(f"{path}: object {oid} has no keywords")
-        want_mask = 0
-        for t in row_tids:
-            want_mask |= 1 << t
-        if unpack_mask_row(masks[row]) != want_mask:
+    if n:
+        counts = np.diff(indptr)
+        empty = np.flatnonzero(counts <= 0)
+        if len(empty):
             raise SegmentError(
-                f"{path}: mask matrix disagrees with CSR terms at oid {oid}"
+                f"{path}: object {int(oids[empty[0]])} has no keywords"
             )
-        kw = frozenset(vocab.term_of(t) for t in row_tids)
-        base.objects[oid] = GeoObject(oid, float(xs[row]), float(ys[row]), kw)
-        base._term_ids[oid] = row_tids
-        base.inverted.add_object(oid, row_tids)
-    base.inverted.finalize()
-    # The columns were serialized oid-sorted, exactly the layout
-    # SealedBase.columns would lazily build — install them directly.
-    base.install_columns(ColumnarStore(oids, xs, ys, indptr, term_ids))
-    return base
+        # Each row's ids ascend strictly: no duplicate holder in a posting.
+        rising = np.diff(term_ids) > 0
+        rising[indptr[1:-1] - 1] = True
+        if not rising.all():
+            raise SegmentError(f"{path}: CSR term row not strictly ascending")
+        cols = ColumnarStore(oids, xs, ys, indptr, term_ids)
+        try:
+            want = _packed_masks(cols, masks.shape[1])
+        except IndexError:
+            want = None
+        bad = (
+            np.arange(n)
+            if want is None
+            else np.flatnonzero(np.any(want != masks, axis=1))
+        )
+        if len(bad):
+            raise SegmentError(
+                f"{path}: mask matrix disagrees with CSR terms at oid "
+                f"{int(oids[bad[0]])}"
+            )
+    return Dataset.from_columns(
+        oids, xs, ys, indptr, term_ids, terms,
+        name=str(header.get("name", "live-base")),
+    )

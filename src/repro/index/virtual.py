@@ -32,7 +32,6 @@ from ..exceptions import InfeasibleQueryError
 from ..kernels import vectorized_enabled
 from .brtree import BRStarTree
 from .columns import ColumnarStore
-from .inverted import InvertedIndex
 
 __all__ = ["VirtualBRTree"]
 
@@ -96,10 +95,8 @@ class VirtualBRTree:
     @classmethod
     def build(
         cls,
-        inverted: InvertedIndex,
+        source,
         query_term_ids: Sequence[int],
-        locations,
-        object_term_ids,
         max_entries: int = 100,
         query_terms: Optional[Sequence[str]] = None,
         exclude: Optional[frozenset] = None,
@@ -109,14 +106,12 @@ class VirtualBRTree:
 
         Parameters
         ----------
-        inverted:
-            Dataset-wide inverted file.
+        source:
+            The dataset-shaped store: its ``inverted`` file, and — on the
+            object path only — its ``locations[oid] -> (x, y)`` and
+            ``term_ids[oid] -> global term ids`` adapters.
         query_term_ids:
             Global term ids of the m query keywords, in query order.
-        locations:
-            ``locations[oid] -> (x, y)`` for every object id.
-        object_term_ids:
-            ``object_term_ids[oid] -> iterable of global term ids``.
         query_terms:
             Optional keyword strings, used only to report infeasibility.
         exclude:
@@ -132,71 +127,65 @@ class VirtualBRTree:
         InfeasibleQueryError
             When some query keyword appears in no (non-excluded) object.
         """
-        missing = inverted.uncoverable_terms(query_term_ids)
-        if missing:
+
+        def infeasible(missing):
             names: Sequence = missing
             if query_terms is not None:
                 pos = {tid: i for i, tid in enumerate(query_term_ids)}
                 names = [query_terms[pos[tid]] for tid in missing]
-            raise InfeasibleQueryError(names)
+            return InfeasibleQueryError(names)
+
+        inverted = source.inverted
+        missing = inverted.uncoverable_terms(query_term_ids)
+        if missing:
+            raise infeasible(missing)
 
         local_bit = {tid: 1 << i for i, tid in enumerate(query_term_ids)}
         object_ids = inverted.relevant_objects(query_term_ids)
         if exclude:
             object_ids = [oid for oid in object_ids if oid not in exclude]
-            still_covered = set()
-            for oid in object_ids:
-                for tid in object_term_ids[oid]:
-                    if tid in local_bit:
-                        still_covered.add(tid)
-            missing = [tid for tid in query_term_ids if tid not in still_covered]
-            if missing:
-                names = missing
-                if query_terms is not None:
-                    pos = {tid: i for i, tid in enumerate(query_term_ids)}
-                    names = [query_terms[pos[tid]] for tid in missing]
-                raise InfeasibleQueryError(names)
-
         full_mask = (1 << len(query_term_ids)) - 1
 
+        masks_np = tree = None
         if columns is not None and vectorized_enabled():
             positions = columns.positions_of(object_ids)
             masks_np = columns.query_masks(positions, local_bit)
-            if masks_np is not None:
-                coords = columns.coords_of(positions)
-                masks = masks_np.tolist()
-                return cls(
-                    list(object_ids),
-                    coords,
-                    masks,
-                    full_mask,
-                    masks_np=masks_np,
-                    max_entries=max_entries,
+        if masks_np is not None:
+            coords = columns.coords_of(positions)
+            masks = masks_np.tolist()
+        else:
+            locations, object_term_ids = source.locations, source.term_ids
+            coords = np.empty((len(object_ids), 2), dtype=np.float64)
+            masks: List[int] = []
+            for row, oid in enumerate(object_ids):
+                x, y = locations[oid]
+                coords[row, 0] = x
+                coords[row, 1] = y
+                mask = 0
+                for tid in object_term_ids[oid]:
+                    bit = local_bit.get(tid)
+                    if bit is not None:
+                        mask |= bit
+                masks.append(mask)
+            if not vectorized_enabled():
+                # The original object path bulk-loaded the tree on every
+                # compile; reproduce that so the perf gate's object-path
+                # baseline reflects the pre-columnar cost honestly.
+                records = (
+                    (oid, coords[row, 0], coords[row, 1], masks[row])
+                    for row, oid in enumerate(object_ids)
                 )
+                tree = BRStarTree.build(records, max_entries=max_entries)
 
-        coords = np.empty((len(object_ids), 2), dtype=np.float64)
-        masks: List[int] = []
-        for row, oid in enumerate(object_ids):
-            x, y = locations[oid]
-            coords[row, 0] = x
-            coords[row, 1] = y
-            mask = 0
-            for tid in object_term_ids[oid]:
-                bit = local_bit.get(tid)
-                if bit is not None:
-                    mask |= bit
-            masks.append(mask)
-
-        tree = None
-        if not vectorized_enabled():
-            # The original object path bulk-loaded the tree on every
-            # compile; reproduce that so the perf gate's object-path
-            # baseline reflects the pre-columnar cost honestly.
-            records = (
-                (oid, coords[row, 0], coords[row, 1], masks[row])
-                for row, oid in enumerate(object_ids)
-            )
-            tree = BRStarTree.build(records, max_entries=max_entries)
+        if exclude:
+            covered = 0
+            for mask in masks:
+                covered |= mask
+            missing = [
+                tid for i, tid in enumerate(query_term_ids) if not covered >> i & 1
+            ]
+            if missing:
+                raise infeasible(missing)
 
         return cls(
             list(object_ids),
@@ -204,6 +193,7 @@ class VirtualBRTree:
             masks,
             full_mask,
             tree=tree,
+            masks_np=masks_np,
             max_entries=max_entries,
         )
 

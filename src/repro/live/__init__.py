@@ -26,7 +26,6 @@ Sharding the live store is :class:`repro.replication.ReplicatedShardRouter`
 (``replicas_per_shard=0`` for plain routed shards without replicas).
 """
 
-from .base import SealedBase
 from .checkpoint import CheckpointManager, RecoveryReport, read_manifest
 from .compaction import Compactor
 from .delta import DeltaOverlay, LiveIndex, LiveView
@@ -44,7 +43,6 @@ __all__ = [
     "LiveView",
     "Mutation",
     "RecoveryReport",
-    "SealedBase",
     "Snapshot",
     "WalRecord",
     "WriteAheadLog",

@@ -47,11 +47,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.objects import Dataset
 from ..exceptions import SegmentError
 from ..index.segments import fsync_dir, load_segment, write_segment
 from ..observability.tracer import span
 from ..testing import faults
-from .base import SealedBase
 from .wal import WalRecord, read_wal
 
 __all__ = ["CheckpointManager", "RecoveryReport", "read_manifest"]
@@ -185,7 +185,7 @@ class CheckpointManager:
 
     def checkpoint(
         self,
-        base: SealedBase,
+        base: Dataset,
         covered_seq: int,
         wal=None,
         next_oid: int = 0,
@@ -285,7 +285,7 @@ class CheckpointManager:
 
     def recover(
         self, report: Optional[RecoveryReport] = None
-    ) -> Tuple[Optional[SealedBase], int, List[WalRecord], RecoveryReport]:
+    ) -> Tuple[Optional[Dataset], int, List[WalRecord], RecoveryReport]:
         """Load the newest verifiable checkpoint plus the WAL tail.
 
         Returns ``(base, covered_seq, tail_records, report)``:
@@ -323,7 +323,7 @@ class CheckpointManager:
             (int(c.get("next_oid", 0)) for c in candidates), default=0
         )
 
-        base: Optional[SealedBase] = None
+        base: Optional[Dataset] = None
         covered_seq = 0
         report.state = "loading_segment"
         for entry in reversed(candidates):  # newest first

@@ -3,16 +3,16 @@
 The delta overlay keeps every mutation since the last seal; reads pay a
 linear scan over it, so an unbounded delta slowly erodes query latency.
 The :class:`Compactor` watches the delta's absolute size and its ratio
-to the base and, past either threshold, rebuilds a fresh
-:class:`~repro.live.base.SealedBase` (vocabulary, inverted index, and —
-lazily — the bR*-tree) from a *snapshot* of the merged view:
+to the base and, past either threshold, seals a fresh
+:class:`~repro.core.objects.Dataset` (columns, postings, vocabulary and
+— lazily — the bR*-tree) from a *snapshot* of the merged view:
 
 1. take the current snapshot (no locks held while sealing — writers keep
    publishing new epochs during the rebuild);
-2. seal ``snapshot.view().records()`` into a new base off-thread, and
-   hand it its columnar store folded in numpy from the old base's store
-   and the delta's add rows (:meth:`~repro.live.delta.LiveView.columns_in`)
-   instead of rebuilding it object by object;
+2. seal the snapshot's live rows off-thread with
+   :meth:`~repro.live.delta.LiveView.seal`: the old base's columns minus
+   tombstoned rows plus the delta's add rows, term ids renumbered, all in
+   numpy;
 3. under the engine's write lock, :meth:`~repro.live.delta.DeltaOverlay.
    rebase` whatever delta accumulated *meanwhile* onto the new base and
    publish — readers atomically switch to the compacted version.
@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..observability.tracer import span
 from ..testing import faults
-from .base import SealedBase
 from .snapshots import Snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -118,11 +117,7 @@ class Compactor:
                     delta_size=snapshot.delta.size,
                     base_size=len(snapshot.base),
                 ):
-                    view = snapshot.view()
-                    new_base = SealedBase.build(
-                        view.records(), name=snapshot.base.name
-                    )
-                    new_base.install_columns(view.columns_in(new_base.vocabulary))
+                    new_base = snapshot.view().seal(snapshot.base.name)
                     # Swap under the write lock: mutations that landed
                     # while we sealed survive as the rebased residual.
                     with self._engine._write_lock:

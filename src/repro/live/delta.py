@@ -47,12 +47,11 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.objects import GeoObject
+from ..core.objects import Dataset, GeoObject, first_occurrence_terms
 from ..exceptions import DatasetError
 from ..index.bitmap import mask_of
 from ..index.columns import ColumnarStore, RentOrBuy
 from ..index.rstar import LeafEntry
-from .base import SealedBase
 
 __all__ = [
     "DeltaOverlay",
@@ -183,7 +182,7 @@ class DeltaOverlay:
         cls,
         adds: Dict[int, GeoObject],
         tombstones: Iterable[int],
-        base: SealedBase,
+        base: Dataset,
     ) -> "DeltaOverlay":
         """Build an overlay from replayed end state in one pass.
 
@@ -241,7 +240,7 @@ class DeltaOverlay:
         """Live delta adds containing ``term``."""
         return self.keyword_map.get(term, _EMPTY)
 
-    def rebase(self, new_base: SealedBase) -> "DeltaOverlay":
+    def rebase(self, new_base: Dataset) -> "DeltaOverlay":
         """The residual delta after ``new_base`` sealed an older snapshot.
 
         Everything already folded into ``new_base`` drops out; what
@@ -359,21 +358,24 @@ class OverlayVocabulary:
             raise DatasetError("cannot pick least frequent of no terms")
         return min(terms, key=self.frequency)
 
+    def terms(self) -> List[str]:
+        """Every term in overlay id order."""
+        return self._base.terms() + list(self._extra)
+
 
 class OverlayInverted:
-    """Live postings: base posting columns minus tombstones, plus add rows.
+    """Live postings: base postings minus tombstones, plus add rows.
 
-    Every lookup is a handful of numpy passes — the base's cached sorted
-    ``posting_column`` arrays marked into one boolean column over the base
-    store's rows with the tombstoned rows cleared, then the add rows'
-    holders — with no per-oid Python loop.  Feasibility is read off the
-    overlay's document frequencies.
+    Every lookup is a handful of numpy passes — slices of the base store's
+    term-major postings with the tombstoned rows dropped, then the add
+    rows' holders — with no per-oid Python loop.  Feasibility is read off
+    the overlay's document frequencies.
     """
 
     __slots__ = ("_base", "_vocab", "_delta")
 
     def __init__(
-        self, base: SealedBase, vocab: OverlayVocabulary, delta: DeltaOverlay
+        self, base: Dataset, vocab: OverlayVocabulary, delta: DeltaOverlay
     ):
         self._base = base
         self._vocab = vocab
@@ -381,22 +383,14 @@ class OverlayInverted:
 
     def _live_holders(self, term_ids: Sequence[int]) -> np.ndarray:
         """Sorted oids of live objects holding any of ``term_ids``."""
+        store = self._base.columns
         base_size = self._vocab.base_size
-        inverted = self._base.inverted
-        cols = [
-            inverted.posting_column(tid) for tid in set(term_ids) if tid < base_size
-        ]
+        positions = store.holder_positions([t for t in term_ids if t < base_size])
         tomb = self._delta.tombstone_column
-        if len(cols) == 1 and not len(tomb):
-            base_part = cols[0]
-        else:
-            # Union and tombstone mask in one boolean column over base rows.
-            store = self._base.columns
-            marked = np.zeros(len(store.oids), dtype=bool)
-            for col in cols:
-                marked[store.positions_of(col)] = True
-            marked[_dead_positions(store, tomb)] = False
-            base_part = store.oids[marked]
+        if len(tomb):
+            dead = _dead_positions(store, tomb)
+            positions = positions[~np.isin(positions, dead, assume_unique=True)]
+        base_part = store.oids[positions]
         rows = self._delta.add_rows
         if not len(rows):
             return base_part
@@ -515,7 +509,7 @@ class LiveView:
     mapping-backed instead of packed arrays.
     """
 
-    def __init__(self, base: SealedBase, delta: DeltaOverlay, name: str = "live"):
+    def __init__(self, base: Dataset, delta: DeltaOverlay, name: str = "live"):
         self.base = base
         self.delta = delta = delta.bound_to(base.vocabulary)
         self.name = name
@@ -531,7 +525,7 @@ class LiveView:
 
     def __len__(self) -> int:
         if self._len is None:
-            dead = self.delta.tombstones & self.base.objects.keys()
+            dead = _dead_positions(self.base.columns, self.delta.tombstone_column)
             self._len = len(self.base) - len(dead) + len(self.delta.adds)
         return self._len
 
@@ -556,13 +550,18 @@ class LiveView:
 
     def __iter__(self) -> Iterator[GeoObject]:
         tombstones = self.delta.tombstones
-        for oid, obj in self.base.objects.items():
-            if oid not in tombstones:
+        for obj in self.base:
+            if obj.oid not in tombstones:
                 yield obj
         yield from self.delta.adds.values()
 
     def live_oids(self) -> List[int]:
-        return sorted(obj.oid for obj in self)
+        base = self.base.columns
+        oids = np.concatenate(
+            [base.oids[self._live_base_rows()], self.delta.add_rows.oids]
+        )
+        oids.sort()
+        return oids.tolist()
 
     def records(self) -> Iterator[Tuple[int, float, float, FrozenSet[str]]]:
         """``(oid, x, y, keywords)`` for every live object (seal input)."""
@@ -673,33 +672,42 @@ class LiveView:
             )
         return self._columns
 
-    def columns_in(self, vocabulary) -> ColumnarStore:
-        """The live rows as one oid-sorted store keyed to ``vocabulary``.
+    def _live_columns(self) -> ColumnarStore:
+        """The live rows as one oid-sorted store in overlay term ids.
 
-        Equal to ``ColumnarStore.from_rows`` over a seal of :meth:`records`
-        whose vocabulary is ``vocabulary``, but built in numpy: the base
-        store minus tombstoned rows, then the add rows, term ids remapped
-        and each row's ids re-sorted.  Compaction hands it to the new base.
+        The base store minus tombstoned rows, then the add rows; re-sorted
+        only when an add undercuts a base oid.
         """
-        base = self.base.columns
-        kept = np.ones(len(base.oids), dtype=bool)
-        kept[_dead_positions(base, self.delta.tombstone_column)] = False
         store = ColumnarStore.concat(
-            base.take(np.flatnonzero(kept)), self.delta.add_rows
+            self.base.columns.take(self._live_base_rows()), self.delta.add_rows
         )
         if np.any(np.diff(store.oids) < 0):
             store = store.take(np.argsort(store.oids, kind="stable"))
-        remap = np.bincount(store.term_ids)
-        for tid in np.flatnonzero(remap).tolist():
-            remap[tid] = vocabulary.id_of(self.vocabulary.term_of(tid))
-        term_ids = remap[store.term_ids]
-        # Rows stay in place; ids re-sort within each row by (row, id) key.
-        owner = np.repeat(
-            np.arange(len(store.oids), dtype=np.int64), np.diff(store.term_indptr)
+        return store
+
+    def _live_base_rows(self) -> np.ndarray:
+        """Positions of the base rows no tombstone covers (ascending)."""
+        base = self.base.columns
+        kept = np.ones(len(base.oids), dtype=bool)
+        kept[_dead_positions(base, self.delta.tombstone_column)] = False
+        return np.flatnonzero(kept)
+
+    def seal(self, name: str) -> Dataset:
+        """The live rows sealed into a fresh store (what compaction publishes).
+
+        Term ids are renumbered by first occurrence over the live rows in
+        oid order, so this equals ``Dataset.seal(self.records())`` whenever
+        ``records()`` runs in oid order (adds above every base oid, in
+        allocation order: always so for engine-allocated oids).  Built in
+        numpy from the live columns, with no per-object Python.
+        """
+        store = self._live_columns()
+        term_ids, terms = first_occurrence_terms(
+            store.term_indptr, store.term_ids, self.vocabulary.terms()
         )
-        order = np.argsort(owner * len(vocabulary) + term_ids, kind="stable")
-        return ColumnarStore(
-            store.oids, store.xs, store.ys, store.term_indptr, term_ids[order]
+        return Dataset.from_columns(
+            store.oids, store.xs, store.ys, store.term_indptr, term_ids, terms,
+            name=name,
         )
 
 

@@ -49,7 +49,6 @@ from ..core.result import Group
 from ..core.skeca import DEFAULT_EPSILON
 from ..exceptions import DatasetError
 from ..observability.tracer import span
-from .base import SealedBase
 from .checkpoint import CheckpointManager, RecoveryReport
 from .compaction import Compactor
 from .delta import DeltaOverlay, LiveView
@@ -95,7 +94,7 @@ class LiveMCKEngine:
 
     def __init__(
         self,
-        base: SealedBase,
+        base: Dataset,
         wal_path: Optional[str] = None,
         wal_sync_every: int = 64,
         data_dir: Optional[str] = None,
@@ -220,19 +219,13 @@ class LiveMCKEngine:
         **kwargs,
     ) -> "LiveMCKEngine":
         """Open over ``(x, y, keywords)`` records with dense initial oids."""
-        sealed = SealedBase.build(
-            ((i, x, y, kw) for i, (x, y, kw) in enumerate(records)), name=name
-        )
-        return cls(sealed, **kwargs)
+        return cls(Dataset.from_records(records, name=name), **kwargs)
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, **kwargs) -> "LiveMCKEngine":
-        """Open over an existing static :class:`Dataset` (oids preserved)."""
+        """Open over an existing static :class:`Dataset` as the sealed base."""
         dataset.finalize()
-        sealed = SealedBase.build(
-            ((o.oid, o.x, o.y, o.keywords) for o in dataset), name=dataset.name
-        )
-        return cls(sealed, **kwargs)
+        return cls(dataset, **kwargs)
 
     @classmethod
     def open(
@@ -244,8 +237,7 @@ class LiveMCKEngine:
         real state recovered from the newest verifiable checkpoint segment
         plus the WAL tail.  A fresh directory yields an empty store.
         """
-        sealed = SealedBase.build((), name=name)
-        return cls(sealed, data_dir=data_dir, **kwargs)
+        return cls(Dataset.from_records((), name=name), data_dir=data_dir, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -521,7 +513,7 @@ class LiveMCKEngine:
         return self._persist_checkpoint(snapshot.base, snapshot.wal_seq)
 
     def _checkpoint_after_compaction(
-        self, sealed: Snapshot, new_base: SealedBase
+        self, sealed: Snapshot, new_base: Dataset
     ) -> None:
         """Persist the base a compaction just sealed (data_dir mode).
 
@@ -537,7 +529,7 @@ class LiveMCKEngine:
         self._persist_checkpoint(new_base, sealed.wal_seq)
 
     def _fold_tail(
-        self, base: SealedBase, records: Sequence[WalRecord], next_oid: int
+        self, base: Dataset, records: Sequence[WalRecord], next_oid: int
     ) -> Tuple[DeltaOverlay, int]:
         """Fold recovered WAL records over ``base`` at startup.
 
@@ -563,7 +555,7 @@ class LiveMCKEngine:
             )
             return _replay_lenient(base, records, next_oid)
 
-    def _persist_checkpoint(self, base: SealedBase, covered_seq: int) -> bool:
+    def _persist_checkpoint(self, base: Dataset, covered_seq: int) -> bool:
         """Run the checkpoint protocol for ``base``; count, never raise.
 
         The segment + manifest write runs without the write lock (it can
@@ -792,7 +784,7 @@ def _mutation(op: str, obj: GeoObject) -> Mutation:
 
 
 def _replay(
-    base: SealedBase, records: Sequence[WalRecord], next_oid: int
+    base: Dataset, records: Sequence[WalRecord], next_oid: int
 ) -> Tuple[DeltaOverlay, int]:
     """Fold recovered WAL records into one overlay over ``base``.
 
@@ -827,7 +819,7 @@ def _replay(
 
 
 def _replay_lenient(
-    base: SealedBase, records: Sequence[WalRecord], next_oid: int
+    base: Dataset, records: Sequence[WalRecord], next_oid: int
 ) -> Tuple[DeltaOverlay, int]:
     """Degraded-mode replay: skip contradictory records instead of raising.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, List, Optional
 
-from .base import SealedBase
+from ..core.objects import Dataset
 from .delta import DeltaOverlay, LiveView
 
 __all__ = ["Snapshot", "EpochManager"]
@@ -35,7 +35,7 @@ class Snapshot:
     def __init__(
         self,
         epoch: int,
-        base: SealedBase,
+        base: Dataset,
         delta: DeltaOverlay,
         wal_seq: int = 0,
     ):
@@ -126,7 +126,7 @@ class EpochManager:
 
     def publish(
         self,
-        base: SealedBase,
+        base: Dataset,
         delta: DeltaOverlay,
         wal_seq: Optional[int] = None,
     ) -> Snapshot:

@@ -39,6 +39,7 @@ import time
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.skeca import DEFAULT_EPSILON
+from ..core.objects import Dataset
 from ..exceptions import (
     DatasetError,
     FencedWriteError,
@@ -46,7 +47,6 @@ from ..exceptions import (
     ReplicationGap,
     WALError,
 )
-from ..live.base import SealedBase
 from ..live.checkpoint import CheckpointManager
 from ..live.engine import LiveMCKEngine, MutationListener
 from ..live.wal import WalRecord, read_wal
@@ -137,7 +137,7 @@ class ReplicationGroup:
         if fresh:
             self._entries = [EpochEntry(1, wal_name(1), 0)]
             write_epoch_entries(self.dir, self._entries)
-            base = SealedBase.build(list(records), name=f"{name}-p")
+            base = Dataset.seal(records, name=f"{name}-p")
             engine = self._make_engine(base, self._bootstrap.recovered_next_oid)
             engine.attach_wal(
                 os.path.join(self.dir, self._entries[-1].wal),
@@ -158,12 +158,9 @@ class ReplicationGroup:
             base = (
                 loaded
                 if loaded is not None
-                else SealedBase.build((), name=f"{name}-p")
+                else Dataset.from_records((), name=f"{name}-p")
             )
-            engine = self._make_engine(
-                base if loaded is not None else base,
-                self._bootstrap.recovered_next_oid,
-            )
+            engine = self._make_engine(base, self._bootstrap.recovered_next_oid)
             tail = self._records_between(covered, None)
             if tail:
                 engine.apply_replicated(tail)
@@ -182,7 +179,7 @@ class ReplicationGroup:
         for i in range(max(0, int(n_replicas))):
             self.replicas.append(self._spawn_replica(i))
 
-    def _make_engine(self, base: SealedBase, floor_oid: int) -> LiveMCKEngine:
+    def _make_engine(self, base: Dataset, floor_oid: int) -> LiveMCKEngine:
         return LiveMCKEngine(
             base,
             metrics=self.metrics,
@@ -439,9 +436,7 @@ class ReplicationGroup:
             retained = self._bootstrap._retained()
             if retained and int(retained[-1]["wal_seq"]) >= covered:
                 return covered  # newest segment already covers this state
-            base = SealedBase.build(
-                snap.view().records(), name=f"{self.name}-boot"
-            )
+            base = snap.view().seal(f"{self.name}-boot")
         self._bootstrap.checkpoint(
             base, covered, wal=None, next_oid=engine._next_oid
         )

@@ -31,8 +31,8 @@ import os
 import time
 from typing import List, Optional
 
+from ..core.objects import Dataset
 from ..exceptions import ReplicationGap
-from ..live.base import SealedBase
 from ..live.checkpoint import CheckpointManager
 from ..live.engine import LiveMCKEngine
 from .fencing import EpochEntry, read_epoch_entries
@@ -82,7 +82,7 @@ class ReadReplica:
         manager = CheckpointManager(os.path.join(self.group_dir, BOOTSTRAP_DIR))
         base, covered_seq, _tail, _report = manager.recover()
         if base is None:
-            base = SealedBase.build((), name=f"{self.name}-empty")
+            base = Dataset.from_records((), name=f"{self.name}-empty")
             covered_seq = 0
         old = self.engine
         self.engine = LiveMCKEngine(

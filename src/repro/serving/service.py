@@ -213,6 +213,9 @@ def _process_worker_query(
         _WORKER_TRACER.set_trace_id(trace_id)
         instr.tracer = _WORKER_TRACER
     before = instr.snapshot()
+    # Index spans (``index.*``) open on the process-global tracer, so the
+    # worker's tracer is installed there for the call, then restored.
+    previous = _tracing.set_tracer(instr.tracer) if instr.tracer is not None else None
     with correlation_scope(correlation_id or None):
         try:
             group = _WORKER_ENGINE.query(
@@ -228,6 +231,9 @@ def _process_worker_query(
             kind, payload = "timeout", str(err)
         except ReproError as err:
             kind, payload = "error", str(err)
+        finally:
+            if instr.tracer is not None:
+                _tracing.set_tracer(previous)
     spans = _WORKER_TRACER.drain() if instr.tracer is not None else []
     return (kind, payload, instr.deltas_since(before), dict(instr.timings), spans)
 

@@ -106,6 +106,25 @@ class TestDatasetStatsAndIndex:
         assert t1 is t2
         assert len(t1) == 20
 
+    def test_brtree_built_once_under_racing_threads(self):
+        import threading
+
+        ds = Dataset.from_records([(i, i % 7, [f"t{i % 5}"]) for i in range(400)])
+        start = threading.Barrier(8)
+        trees = []
+
+        def build():
+            start.wait()
+            trees.append(ds.brtree())
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(trees) == 8
+        assert all(tree is trees[0] for tree in trees)
+
     def test_brtree_mask_reflects_keywords(self):
         ds = Dataset.from_records([(0, 0, ["x"]), (5, 5, ["y"])])
         tree = ds.brtree()

@@ -35,8 +35,10 @@ def dataset():
 
 def _fresh_store(dataset):
     """Forget bought columns and rent so each test starts from zero."""
-    dataset._columns = None
-    return dataset.columns
+    store = dataset.columns
+    store._term_nn.clear()
+    store._term_rent.clear()
+    return store
 
 
 QUERY = ("kw0", "kw1")

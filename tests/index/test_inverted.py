@@ -1,16 +1,18 @@
 """Tests for the inverted keyword file."""
 
+from repro.index.columns import ColumnarStore
 from repro.index.inverted import InvertedIndex
 
 
+def _index(rows):
+    """An inverted file over ``(oid, term_ids)`` rows (oids ascending)."""
+    return InvertedIndex(
+        ColumnarStore.from_rows((oid, 0.0, 0.0, tids) for oid, tids in rows)
+    )
+
+
 def _build():
-    idx = InvertedIndex()
-    idx.add_object(0, [1, 2])
-    idx.add_object(1, [2, 3])
-    idx.add_object(2, [1])
-    idx.add_object(3, [3, 4])
-    idx.finalize()
-    return idx
+    return _index([(0, [1, 2]), (1, [2, 3]), (2, [1]), (3, [3, 4])])
 
 
 class TestPostings:
@@ -28,17 +30,11 @@ class TestPostings:
         assert idx.document_frequency(4) == 1
         assert idx.document_frequency(42) == 0
 
-    def test_finalize_dedupes(self):
-        idx = InvertedIndex()
-        idx.add_object(7, [5])
-        idx.add_object(7, [5])
-        idx.finalize()
-        assert idx.posting(5) == [7]
-
-    def test_finalize_idempotent(self):
-        idx = _build()
-        idx.finalize()
-        assert idx.posting(1) == [0, 2]
+    def test_sparse_oids_translate_rows(self):
+        idx = _index([(4, [5]), (7, [5, 6]), (30, [6])])
+        assert idx.posting(5) == [4, 7]
+        assert idx.posting(6) == [7, 30]
+        assert idx.relevant_objects([5, 6]) == [4, 7, 30]
 
 
 class TestRelevantObjects:
@@ -106,14 +102,14 @@ class TestObjectsWithAllTerms:
         from repro.kernels import scalar_kernels
 
         rng = random.Random(0xA11)
-        idx = InvertedIndex()
         # Term 0: dense (most objects) -> bitmap path once it is the
         # smallest remaining column; terms 1..5: increasingly sparse.
+        rows = []
         for oid in range(500):
             terms = [0] if rng.random() < 0.9 else []
             terms += [t for t in range(1, 6) if rng.random() < 0.3 / t]
-            idx.add_object(oid, terms)
-        idx.finalize()
+            rows.append((oid, terms))
+        idx = _index(rows)
 
         queries = [[0, 1], [1, 2, 3], [0, 1, 2, 3, 4, 5], [5], [2, 4]]
         for q in queries:

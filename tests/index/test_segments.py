@@ -13,7 +13,7 @@ from repro.index.segments import (
     segment_info,
     write_segment,
 )
-from repro.live.base import SealedBase
+from repro.core.objects import Dataset
 
 
 def _sealed(name="seg-test", n=20):
@@ -25,7 +25,7 @@ def _sealed(name="seg-test", n=20):
         if i % 4 == 0:
             kws.append("rare")
         records.append((oid, float(i), float(n - i) * 0.5, kws))
-    return SealedBase.build(records, name=name)
+    return Dataset.seal(records, name=name)
 
 
 def _write(tmp_path, base=None, name="base.seg"):
@@ -40,13 +40,13 @@ class TestRoundTrip:
         base, path, header = _write(tmp_path)
         loaded = load_segment(path)
         assert loaded.name == base.name
-        assert sorted(loaded.objects) == sorted(base.objects)
-        for oid, obj in base.objects.items():
-            twin = loaded.objects[oid]
+        assert [o.oid for o in loaded] == [o.oid for o in base]
+        for obj in base:
+            twin = loaded[obj.oid]
             assert (twin.x, twin.y) == (obj.x, obj.y)
             assert twin.keywords == obj.keywords
             # Term ids survive verbatim — no re-interning on load.
-            assert loaded._term_ids[oid] == base._term_ids[oid]
+            assert loaded.term_ids_of(obj.oid) == base.term_ids_of(obj.oid)
 
     def test_vocabulary_order_and_frequency_survive(self, tmp_path):
         base, path, _header = _write(tmp_path)
@@ -62,7 +62,6 @@ class TestRoundTrip:
     def test_columns_installed_eagerly(self, tmp_path):
         base, path, _header = _write(tmp_path)
         loaded = load_segment(path)
-        assert loaded._columns is not None  # load, not lazy rebuild
         assert list(loaded.columns.oids) == list(base.columns.oids)
         assert list(loaded.columns.term_ids) == list(base.columns.term_ids)
 
@@ -83,7 +82,7 @@ class TestRoundTrip:
         assert info["terms"] == header["terms"]
 
     def test_empty_base_round_trips(self, tmp_path):
-        base = SealedBase.build((), name="empty")
+        base = Dataset.seal((), name="empty")
         path = str(tmp_path / "empty.seg")
         write_segment(base, path)
         loaded = load_segment(path)
@@ -175,4 +174,55 @@ class TestCorruption:
         with open(path, "wb") as fh:
             fh.write(MAGIC + framed + tail)
         with pytest.raises(SegmentError, match="version"):
+            load_segment(path)
+
+
+class TestCrossVersion:
+    """A segment written before the store became columns-first still loads.
+
+    ``data/mckseg1_v1.seg`` was written by the previous sealed-base
+    implementation (sparse oids, 80 terms, so every mask spans two uint64
+    words); ``data/mckseg1_v1.json`` holds what that writer sealed.
+    """
+
+    DATA = os.path.join(os.path.dirname(__file__), "data")
+
+    def _copy(self, tmp_path):
+        path = str(tmp_path / "v1.seg")
+        with open(os.path.join(self.DATA, "mckseg1_v1.seg"), "rb") as src:
+            raw = src.read()
+        with open(path, "wb") as dst:
+            dst.write(raw)
+        return path, raw
+
+    def test_loads_to_the_same_store(self, tmp_path):
+        path, _raw = self._copy(tmp_path)
+        with open(os.path.join(self.DATA, "mckseg1_v1.json")) as fh:
+            want = json.load(fh)
+        loaded = load_segment(path)
+        cols = loaded.columns
+        assert loaded.name == want["name"]
+        for name in ("oids", "xs", "ys", "term_indptr", "term_ids"):
+            assert getattr(cols, name).tolist() == want[name], name
+        assert loaded.vocabulary.terms() == want["terms"]
+        assert [
+            loaded.vocabulary.frequency(t) for t in range(len(want["terms"]))
+        ] == want["frequencies"]
+        assert segment_info(path)["sections"][-1]["shape"] == [len(want["oids"]), 2]
+
+    def test_second_mask_word_bitflip_is_caught(self, tmp_path):
+        path, raw = self._copy(tmp_path)
+        header = segment_info(path)
+        sections = header["sections"]
+        body = raw[raw.index(b"\n", len(MAGIC)) + 1 :]
+        offset = sum(s["bytes"] for s in sections[:-1])
+        masks_raw = bytearray(body[offset:])
+        row, word = 3, 1
+        masks_raw[(row * 2 + word) * 8] ^= 0x01  # term id 64's bit in row 3
+        sections[-1]["crc"] = zlib.crc32(bytes(masks_raw)) & 0xFFFFFFFF
+        new_body = json.dumps(header, sort_keys=True).encode("utf-8")
+        framed = b"%08x %s\n" % (zlib.crc32(new_body) & 0xFFFFFFFF, new_body)
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + framed + body[:offset] + bytes(masks_raw))
+        with pytest.raises(SegmentError, match="disagrees"):
             load_segment(path)

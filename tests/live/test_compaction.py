@@ -109,11 +109,9 @@ class TestFolding:
             engine.delete(1)
             assert engine.compact()
             base = engine.snapshot().base
-            installed = base._columns
-            assert installed is not None
+            installed = base.columns
             want = ColumnarStore.from_rows(
-                (oid, obj.x, obj.y, base.term_ids_of(oid))
-                for oid, obj in sorted(base.objects.items())
+                (obj.oid, obj.x, obj.y, base.term_ids_of(obj.oid)) for obj in base
             )
             for name in ("oids", "xs", "ys", "term_indptr", "term_ids"):
                 assert np.array_equal(getattr(installed, name), getattr(want, name))

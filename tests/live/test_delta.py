@@ -6,10 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.objects import GeoObject
+from repro.core.objects import Dataset, GeoObject
 from repro.exceptions import DatasetError
-from repro.index.columns import ColumnarStore
-from repro.live.base import SealedBase
 from repro.live.delta import DeltaOverlay, LiveView
 
 BASE_RECORDS = [
@@ -22,7 +20,7 @@ BASE_RECORDS = [
 
 @pytest.fixture()
 def base():
-    return SealedBase.build(BASE_RECORDS, name="delta-test")
+    return Dataset.seal(BASE_RECORDS, name="delta-test")
 
 
 def _obj(oid, x, y, keywords):
@@ -120,8 +118,8 @@ class TestLiveView:
             .with_delete(0, ("shrine",))
         )
         view = LiveView(base, delta)
-        resealed = SealedBase.build(view.records(), name="resealed")
-        assert sorted(resealed.objects) == view.live_oids()
+        resealed = Dataset.seal(view.records(), name="resealed")
+        assert [o.oid for o in resealed] == view.live_oids()
         assert resealed[10].keywords == frozenset({"cafe"})
 
     def test_vocabulary_extends_base_ids(self, base):
@@ -213,7 +211,7 @@ class TestLiveIndex:
             (oid, rng.uniform(0, 50), rng.uniform(0, 50), rng.sample(terms, rng.randint(1, 2)))
             for oid in range(120)
         ]
-        base = SealedBase.build(records, name="slab")
+        base = Dataset.seal(records, name="slab")
         delta = DeltaOverlay(vocab=base.vocabulary)
         for oid in rng.sample(range(120), 25):
             delta = delta.with_delete(oid, tuple(records[oid][3]))
@@ -269,8 +267,8 @@ class TestLiveIndex:
         assert index.item_mask(0) != 0
 
 
-def test_columns_in_equals_from_rows_of_the_seal(base):
-    """Compaction's numpy-folded store is the one the new base would build."""
+def test_seal_equals_a_seal_of_the_records(base):
+    """Compaction's numpy-folded store is the one sealing the records builds."""
     delta = (
         DeltaOverlay(vocab=base.vocabulary)
         .with_insert(_obj(10, 5.0, 5.0, ["zoo", "cafe", "shop"]))
@@ -281,15 +279,15 @@ def test_columns_in_equals_from_rows_of_the_seal(base):
         .with_delete(3, ("hotel",))    # the only holder of a base term
     )
     view = LiveView(base, delta)
-    new_base = SealedBase.build(view.records(), name="resealed")
-    got = view.columns_in(new_base.vocabulary)
-    want = ColumnarStore.from_rows(
-        (oid, obj.x, obj.y, new_base.term_ids_of(oid))
-        for oid, obj in sorted(new_base.objects.items())
-    )
+    want_base = Dataset.seal(view.records(), name="resealed")
+    got_base = view.seal("resealed")
+    got, want = got_base.columns, want_base.columns
     for name in ("oids", "xs", "ys", "term_indptr", "term_ids"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.term_ids.dtype == want.term_ids.dtype
+    assert got_base.vocabulary.terms() == want_base.vocabulary.terms()
+    for term in want_base.vocabulary.terms():
+        assert got_base.vocabulary.frequency(term) == want_base.vocabulary.frequency(term)
 
 
 class TestRebase:
@@ -299,13 +297,13 @@ class TestRebase:
             .with_insert(_obj(10, 5.0, 5.0, ["cafe"]))
             .with_delete(1, ("shop",))
         )
-        new_base = SealedBase.build(LiveView(base, delta).records())
+        new_base = Dataset.seal(LiveView(base, delta).records())
         residual = delta.rebase(new_base)
         assert residual.is_empty()
 
     def test_post_seal_mutations_survive(self, base):
         sealed_delta = DeltaOverlay().with_insert(_obj(10, 5.0, 5.0, ["cafe"]))
-        new_base = SealedBase.build(LiveView(base, sealed_delta).records())
+        new_base = Dataset.seal(LiveView(base, sealed_delta).records())
         # Mutations landing after the compactor took its snapshot:
         later = (
             sealed_delta

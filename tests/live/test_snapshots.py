@@ -1,12 +1,12 @@
 """Epoch manager: atomic publish, reader pins, drain-then-retire."""
 
-from repro.live.base import SealedBase
+from repro.core.objects import Dataset
 from repro.live.delta import DeltaOverlay
 from repro.live.snapshots import EpochManager, Snapshot
 
 
 def _manager(on_retire=None):
-    base = SealedBase.build([(0, 0.0, 0.0, ["a"])], name="snap-test")
+    base = Dataset.seal([(0, 0.0, 0.0, ["a"])], name="snap-test")
     return EpochManager(Snapshot(0, base, DeltaOverlay()), on_retire=on_retire), base
 
 

@@ -22,7 +22,6 @@ from repro import Dataset
 from repro.core.objects import GeoObject
 from repro.core.query import compile_query
 from repro.exceptions import InfeasibleQueryError
-from repro.live.base import SealedBase
 from repro.live.delta import DeltaOverlay, LiveView
 
 from tests.conftest import brute_radii
@@ -119,7 +118,7 @@ def test_sealed_bounded_radii(rows, keywords, buy, bound, drop):
 )
 def test_live_view_bounded_radii(rows, adds, deletes, keywords, buy, bound):
     base_records = _records(rows)
-    base = SealedBase.build(base_records, name="prop")
+    base = Dataset.seal(base_records, name="prop")
     delta = DeltaOverlay(vocab=base.vocabulary)
     next_oid = len(base_records)
     for x, y, kws in adds:

@@ -4,7 +4,7 @@ A live view gathers O′ in two parts — the sealed base's rows with
 tombstones masked out, then the delta's add rows — and buys nearest-holder
 columns over its own live holders.  None of that may be observable: after
 every step of a random insert/delete/compact stream, each compiled query
-must equal the same query compiled on ``LiveView(SealedBase.build(
+must equal the same query compiled on ``LiveView(Dataset.seal(
 view.records()), DeltaOverlay())`` in ``relevant_ids``, ``coords``,
 ``masks`` and ``cover_radii`` (rented and bought), and the EXACT, SKECa+
 and GKG answers must be the same groups.
@@ -32,7 +32,7 @@ from repro.core.skeca import DEFAULT_EPSILON
 from repro.core.skecaplus import skeca_plus
 from repro.exceptions import InfeasibleQueryError
 from repro.live import LiveMCKEngine
-from repro.live.base import SealedBase
+from repro.core.objects import Dataset
 from repro.live.delta import DeltaOverlay, LiveView
 
 BASE_TERMS = ("a", "b", "c", "d")
@@ -73,8 +73,7 @@ _queries = st.lists(
 def _compact(base, history, lag):
     """Seal ``history[-1 - lag]`` as compaction does, then rebase the tip."""
     sealed_view = LiveView(base, history[max(0, len(history) - 1 - lag)])
-    new_base = SealedBase.build(sealed_view.records(), name="prop")
-    new_base.install_columns(sealed_view.columns_in(new_base.vocabulary))
+    new_base = sealed_view.seal("prop")
     return new_base, history[-1].rebase(new_base)
 
 
@@ -139,7 +138,7 @@ def _answers(ctx):
 
 
 def assert_compiles_like_fresh_seal(view, queries):
-    fresh = LiveView(SealedBase.build(view.records(), name="fresh"), DeltaOverlay())
+    fresh = LiveView(Dataset.seal(view.records(), name="fresh"), DeltaOverlay())
     assert sorted(view.live_oids()) == sorted(fresh.live_oids())
     for keywords in queries:
         try:
@@ -165,7 +164,7 @@ def assert_compiles_like_fresh_seal(view, queries):
 @settings(deadline=None, max_examples=40)
 @given(ops=st.lists(_op, min_size=1, max_size=14), queries=_queries)
 def test_live_compile_equals_fresh_seal(ops, queries):
-    base = SealedBase.build(BASE_RECORDS, name="prop")
+    base = Dataset.seal(BASE_RECORDS, name="prop")
     history = [DeltaOverlay(vocab=base.vocabulary)]
     for op in ops:
         base, history = _step(base, history, op)
@@ -175,7 +174,7 @@ def test_live_compile_equals_fresh_seal(ops, queries):
 def test_named_cases_compile_like_fresh_seal():
     """Each required case once, deterministically."""
     queries = [["a", "b"], ["a", "x"], ["x", "y"], ["b", "c", "d"]]
-    base = SealedBase.build(BASE_RECORDS, name="prop")
+    base = Dataset.seal(BASE_RECORDS, name="prop")
     history = [DeltaOverlay(vocab=base.vocabulary)]
     for op in [
         ("delete_nearest", 5, "b"),          # a row's nearest base holder

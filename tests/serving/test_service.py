@@ -351,6 +351,28 @@ class TestObservability:
         assert worker_spans
         assert all(s["trace_id"] == root["trace_id"] for s in worker_spans)
 
+    def test_pool_worker_index_spans_reach_the_parent(self):
+        """Spans the core opens on the global tracer (``index.*``) inside a
+        traced pool-worker query come back with the worker's other spans."""
+        from repro.observability.tracer import Tracer
+
+        dataset = make_random_dataset(23, n=200)
+        query = feasible_query(dataset, 5, 3)  # optimum > 0: EXACT searches
+        tracer = Tracer()
+        with QueryService(
+            dataset,
+            process_algorithms=("EXACT",),
+            process_workers=1,
+            cache_size=0,
+            tracer=tracer,
+        ) as service:
+            assert service.query(query, algorithm="EXACT").ok
+        (root,) = [s for s in tracer.finished_spans() if s["name"] == "serve.request"]
+        worker = {
+            s["name"] for s in tracer.finished_spans() if s["pid"] != root["pid"]
+        }
+        assert {"index.cover_radii_columnar", "index.pole_cache_build"} <= worker
+
     def test_structured_log_emitted_per_query(self, dataset, queries):
         import io
         import json as _json
