@@ -46,7 +46,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 SEED = 0xB6B6
-SHUFFLER_SEED = 0x5EED
 
 #: Workload presets: (objects, vocabulary size, query keywords, queries).
 SCALES = {
@@ -109,15 +108,10 @@ def _run_interleaved(dataset, queries, repeats: int):
     ``{algorithm: (samples, answers, counters)}`` dict per mode,
     columnar first.
     """
-    import repro.geometry.mcc as mcc
     from repro.core.query import compile_query
     from repro.kernels import set_vectorized
 
     modes = (True, False)
-    # Welzl's MCC shuffler is module-level workload state; each mode keeps
-    # its own, pinned to the same seed, so both see identical shuffle
-    # sequences (and identical answers) however the modes interleave.
-    shufflers = {mode: random.Random(SHUFFLER_SEED) for mode in modes}
     out = {mode: {} for mode in modes}
     turn = 0
     for name, fn in algorithms().items():
@@ -129,7 +123,6 @@ def _run_interleaved(dataset, queries, repeats: int):
                 for mode in modes[:: 1 if turn % 2 else -1]:
                     samples, answers, counters = out[mode][name]
                     set_vectorized(mode)
-                    mcc._SHUFFLER = shufflers[mode]
                     t0 = time.perf_counter()
                     ctx = compile_query(dataset, q)
                     group = fn(ctx)

@@ -130,19 +130,32 @@ def check_invalidation():
             want.object_ids, want.diameter
         ), "kept answer differs from a fresh engine's"
         fresh.close()
-        # 0.28 from shrine 0: forms a smaller group, so the entry drops.
-        service.insert(0.2, 0.2, ["shop"])
+        # 0.28 from shrine 0: forms a smaller group, which replaces the
+        # cached answer.
+        near = (0.2, 0.2, ["shop"])
+        near_oid = service.insert(*near)
+        repaired = service.query(["shrine", "shop"], "EXACT")
+        assert repaired.stats.cache_hit, "answer a near insert beats dropped"
+        fresh = LiveMCKEngine.from_records(RECORDS + [far, near])
+        want = fresh.query(["shrine", "shop"], algorithm="EXACT")
+        fresh.close()
+        assert repaired.group.object_ids == want.object_ids, \
+            "repaired answer differs from a fresh engine's"
+        assert abs(repaired.group.diameter - want.diameter) <= 1e-12 * want.diameter
+        # Deleting a member of the repaired answer drops it.
+        service.delete(near_oid)
         miss = service.query(["shrine", "shop"], "EXACT")
         assert not miss.stats.cache_hit, "stale cached answer served"
         assert service.query(["restaurant"]).stats.cache_hit, \
             "disjoint entry was invalidated"
         st = service.cache.stats()
         assert st["invalidations"] >= 1 and st["revalidated"] >= 1, st
+        assert st["repaired"] >= 1, st
         assert st["inserts"] == st["size"] + st["evictions"] \
             + st["expirations"] + st["invalidations"], f"conservation: {st}"
     engine.close()
-    print("  invalidation: far insert kept, near insert dropped, disjoint "
-          "entry hot, conservation counters balance")
+    print("  invalidation: far insert kept, near insert repaired, member "
+          "delete dropped, disjoint entry hot, conservation counters balance")
 
 
 def check_cli(tmpdir):

@@ -17,11 +17,12 @@ from .point import dist
 
 __all__ = ["minimum_covering_circle", "minimum_covering_circle_naive"]
 
-#: Deterministic shuffling source.  Welzl's algorithm needs a random
-#: permutation for its expected-linear bound; a fixed seed keeps library
-#: output reproducible while preserving the average-case behaviour on
-#: adversarial input orders.
-_SHUFFLER = random.Random(0x5EED)
+#: Seed of the per-call shuffle.  Welzl's algorithm needs a random
+#: permutation for its expected-linear bound; seeding a fresh generator on
+#: every call makes the circle a pure function of the input points, so
+#: concurrent callers (query threads, shard fan-out, the cache's writer
+#: thread) cannot perturb one another's shuffle sequence.
+_SHUFFLE_SEED = 0x5EED
 
 
 def minimum_covering_circle(points: Iterable[Sequence[float]]) -> Circle:
@@ -38,7 +39,7 @@ def minimum_covering_circle(points: Iterable[Sequence[float]]) -> Circle:
     pts = list(dict.fromkeys(pts))
     if len(pts) == 1:
         return Circle(pts[0][0], pts[0][1], 0.0)
-    _SHUFFLER.shuffle(pts)
+    random.Random(_SHUFFLE_SEED).shuffle(pts)
 
     circle: Optional[Circle] = None
     for i, p in enumerate(pts):

@@ -157,6 +157,11 @@ class KeywordVocabulary:
         except KeyError:
             raise DatasetError(f"unknown keyword: {term!r}") from None
 
+    def ids_of(self, terms: Iterable[str]) -> List[int]:
+        """The id of each term, ``-1`` for an unseen one."""
+        get = self._term_to_id.get
+        return [get(term, -1) for term in terms]
+
     def term_of(self, tid: int) -> str:
         """The term string for an id."""
         return self._id_to_term[tid]

@@ -208,6 +208,19 @@ class ColumnarStore(RentOrBuy):
             return rows[:0]
         return np.unique(np.concatenate(parts))
 
+    def holder_ranges(
+        self, term_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every holder of ``term_ids[i]``, as ``(rows, starts, ends)``
+        (see :meth:`holders_in_slabs`): slices of :attr:`postings`, with
+        no x filter; unknown term ids hold nothing."""
+        indptr, rows = self.postings
+        n_terms = len(indptr) - 1
+        ids = np.asarray(term_ids, dtype=np.int64)
+        ids = np.where((ids >= 0) & (ids < n_terms), ids, n_terms)
+        padded = np.append(indptr, indptr[-1])
+        return rows, padded[ids], padded[ids + 1]
+
     def _holder_and_row_coords(self, term_id: int) -> Tuple[np.ndarray, np.ndarray]:
         return (
             self.coords_of(self.holder_positions(term_id)),
@@ -237,8 +250,14 @@ class ColumnarStore(RentOrBuy):
             self._by_term_x = (keys[order], owner[order], self.xs[by_x])
         keys, rows, sorted_xs = self._by_term_x
         first = np.asarray(term_ids, dtype=np.int64) * n
-        starts = np.searchsorted(keys, first + np.searchsorted(sorted_xs, x_lo, "left"))
-        ends = np.searchsorted(keys, first + np.searchsorted(sorted_xs, x_hi, "right"))
+        lo = first + np.searchsorted(sorted_xs, x_lo, "left")
+        hi = first + np.searchsorted(sorted_xs, x_hi, "right")
+        # Search in key order: sorted queries walk the keys once.
+        order = np.argsort(lo)
+        starts = np.empty_like(lo)
+        ends = np.empty_like(hi)
+        starts[order] = np.searchsorted(keys, lo[order])
+        ends[order] = np.searchsorted(keys, hi[order])
         return rows, starts, ends
 
     def positions_of(self, oids) -> np.ndarray:

@@ -43,7 +43,17 @@ could resurrect the deleted object.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -60,6 +70,7 @@ __all__ = [
     "OverlayColumns",
     "LiveView",
     "LiveIndex",
+    "HolderScan",
 ]
 
 _EMPTY: FrozenSet[int] = frozenset()
@@ -334,6 +345,14 @@ class OverlayVocabulary:
         if tid is not None:
             return tid
         return self._base.id_of(term)
+
+    def ids_of(self, terms: Sequence[str]) -> List[int]:
+        """The overlay id of each term, ``-1`` for one never seen."""
+        extra = self._extra
+        return [
+            extra.get(term, tid)
+            for term, tid in zip(terms, self._base.ids_of(terms))
+        ]
 
     def term_of(self, tid: int) -> str:
         if tid >= self._base_size:
@@ -611,47 +630,69 @@ class LiveView:
             masked += len(holders) - freq_delta.get(term, 0)
         return {"delta_rows": len(adds), "tombstones_masked": masked}
 
-    def nearest_holder_distances(
-        self, points, terms: Sequence[str], within
-    ) -> np.ndarray:
-        """Distance from ``points[i]`` to its nearest live holder of
-        ``terms[i]``, exact wherever it is at most ``within[i]``; beyond
-        that, some larger value (``inf`` when no holder is in range).
+    def nearest_holders(
+        self, points, terms: Sequence[str], within, gather, anchors
+    ) -> "HolderScan":
+        """One batched scan for the live holders of ``terms[i]`` near
+        ``points[i]`` (see :class:`HolderScan` for what it reports).
 
-        Holders are scanned only inside the x-slab ``points[i].x ±
-        within[i]`` (any holder that close in distance lies there): the
-        base's, with tombstoned ones masked out, then the add rows' (live
-        by construction).  Each scan measures every (point, holder) pair
-        in one vectorised pass.
+        The nearest holder's distance is exact wherever it is at most
+        ``within[i]``; beyond that it is some larger value (``inf`` when
+        no holder is in range).  Pairs flagged in ``gather`` also list
+        every holder within ``within[i]``.  ``anchors`` are oids whose
+        liveness in this snapshot is reported alongside.
+
+        The base's holders are scanned only inside the x-slab
+        ``points[i].x ± within[i]`` (any holder that close in distance
+        lies there), tombstoned ones masked out; the few add rows' holders
+        (live by construction) are scanned whole.  Each scan measures
+        every (point, holder) pair in one vectorised pass.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        best = np.full(len(pts), math.inf)
-        if not len(pts):
-            return best
-        vocab = self.vocabulary
-        tid = {t: vocab.id_of(t) if t in vocab else -1 for t in set(terms)}
-        term_ids = np.array([tid[t] for t in terms], dtype=np.int64)
+        n = len(pts)
+        live = np.array([oid in self for oid in anchors], dtype=bool)
+        if not n:
+            return HolderScan.nothing(0)._replace(anchors_live=live)
+        distinct = list(dict.fromkeys(terms))
+        tid = dict(zip(distinct, self.vocabulary.ids_of(distinct)))
+        term_ids = np.fromiter(map(tid.__getitem__, terms), np.int64, len(terms))
         # Widen the slab past float rounding; the exact test comes after.
         reach = np.asarray(within, dtype=np.float64)
         reach = reach + 1e-9 * (reach + np.abs(pts[:, 0]))
         x_lo = pts[:, 0] - reach
         x_hi = pts[:, 0] + reach
-        columns = self.base.columns
-        rows, starts, ends = columns.holders_in_slabs(term_ids, x_lo, x_hi)
-        alive = None
-        if self.delta.tombstones:
-            alive = np.ones(len(columns.oids), dtype=bool)
-            alive[_dead_positions(columns, self.delta.tombstone_column)] = False
-        _scan_nearest(
-            best, pts, starts, ends - starts, rows, columns.xs, columns.ys, alive
+        # Squared reach of the gathered pairs (-1 gathers nothing); capped
+        # so a dead holder's infinite gap never counts as in reach.
+        gather_sq = np.where(
+            np.asarray(gather, dtype=bool),
+            np.minimum(reach * reach, np.finfo(np.float64).max),
+            -1.0,
         )
+        gap = np.full(n, math.inf)
+        pairs, oids, coords = [], [], []
+        base = self.base.columns
         adds = self.delta.add_rows
+        scans = [
+            (base, base.holders_in_slabs(term_ids, x_lo, x_hi),
+             _dead_positions(base, self.delta.tombstone_column)),
+        ]
         if len(adds):
-            rows, starts, ends = adds.holders_in_slabs(term_ids, x_lo, x_hi)
-            _scan_nearest(
-                best, pts, starts, ends - starts, rows, adds.xs, adds.ys, None
+            scans.append((adds, adds.holder_ranges(term_ids), None))
+        for store, (rows, starts, ends), dead in scans:
+            pair, held = _scan_block(
+                gap, pts, starts, ends - starts, rows, store.xs, store.ys,
+                dead, gather_sq,
             )
-        return best
+            pairs.append(pair)
+            oids.append(store.oids[held])
+            coords.append(store.coords_of(held))
+        return HolderScan(
+            np.sqrt(gap),
+            np.concatenate(pairs),
+            np.concatenate(oids),
+            np.concatenate(coords),
+            live,
+        )
 
     @property
     def columns(self):
@@ -720,29 +761,75 @@ def _dead_positions(store: ColumnarStore, tombstones: np.ndarray) -> np.ndarray:
     return hit[found]
 
 
-def _scan_nearest(best, pts, starts, lengths, order, xs, ys, alive) -> None:
-    """Lower ``best[r]`` to point ``r``'s nearest holder in its block.
+def _scan_block(gap, pts, starts, lengths, order, xs, ys, dead, gather_sq):
+    """Lower ``gap[r]`` to the squared distance of point ``r``'s nearest
+    live holder in its block; return the holders within its gather reach.
 
     Row ``r``'s holders are ``order[starts[r]:starts[r] + lengths[r]]``,
-    indexing the ``xs`` / ``ys`` columns; holders whose ``alive`` flag is
-    False are skipped (``alive=None`` skips nothing).  Every (row,
-    holder) pair is measured in one pass, then reduced per row on
-    squared distances.
+    indexing the ``xs`` / ``ys`` columns; holders at the ``dead``
+    positions are skipped (``dead=None`` skips nothing).  Every (row,
+    holder) pair is measured in one pass.  Returns ``(pair, held)``: for
+    each holder within ``gather_sq[r]`` (squared) of row ``r``, the row
+    and the holder's position.
     """
     ends = np.cumsum(lengths)
     if not len(ends) or not ends[-1]:
-        return
-    holder = order[
-        np.arange(int(ends[-1])) + np.repeat(starts - (ends - lengths), lengths)
-    ]
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
+    firsts = ends - lengths
+    holder = order[np.arange(int(ends[-1])) + np.repeat(starts - firsts, lengths)]
     dx = np.repeat(pts[:, 0], lengths) - xs[holder]
     dy = np.repeat(pts[:, 1], lengths) - ys[holder]
     gaps = dx * dx + dy * dy
-    if alive is not None:
-        gaps[~alive[holder]] = math.inf
+    if dead is not None and len(dead):
+        gaps[np.isin(holder, dead)] = math.inf
     filled = lengths > 0
-    nearest = np.sqrt(np.minimum.reduceat(gaps, (ends - lengths)[filled]))
-    best[filled] = np.minimum(best[filled], nearest)
+    gap[filled] = np.minimum(gap[filled], np.minimum.reduceat(gaps, firsts[filled]))
+    near = np.flatnonzero(gaps <= np.repeat(gather_sq, lengths))
+    return np.searchsorted(ends, near, side="right"), holder[near]
+
+
+class HolderScan(NamedTuple):
+    """What one batched holder scan found for each (point, term) pair.
+
+    ``distance[i]`` is the distance from point ``i`` to its nearest live
+    holder of term ``i``: exact up to the pair's bound, some larger value
+    beyond it (``inf`` when no holder was in range).  ``reach_pair`` /
+    ``reach_oid`` / ``reach_xy`` list, unordered, every live holder within
+    the bound of a gathered pair, tagged with the pair's index.
+    ``anchors_live[j]`` tells whether the ``j``-th anchor oid is live, and
+    ``epoch`` is the scanned snapshot's epoch (``-1`` when unknown).
+    """
+
+    distance: np.ndarray
+    reach_pair: np.ndarray
+    reach_oid: np.ndarray
+    reach_xy: np.ndarray
+    anchors_live: np.ndarray
+    epoch: int = -1
+
+    @classmethod
+    def nothing(cls, n: int, anchors: int = 0) -> "HolderScan":
+        """A scan of ``n`` pairs that found no holder and no live anchor."""
+        return cls(
+            np.full(n, math.inf),
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            np.zeros((0, 2)),
+            np.zeros(anchors, dtype=bool),
+        )
+
+    @classmethod
+    def merge(cls, scans: Sequence["HolderScan"]) -> "HolderScan":
+        """The scan of the union of disjoint stores, from one scan of each."""
+        return cls(
+            np.min([s.distance for s in scans], axis=0),
+            np.concatenate([s.reach_pair for s in scans]),
+            np.concatenate([s.reach_oid for s in scans]),
+            np.concatenate([s.reach_xy for s in scans]),
+            np.logical_or.reduce([s.anchors_live for s in scans]),
+            max(s.epoch for s in scans),
+        )
 
 
 class _ViewTermIds:

@@ -39,8 +39,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from ..core.common import Instrumentation
 from ..core.engine import run_query
 from ..core.objects import Dataset, GeoObject
@@ -51,7 +49,7 @@ from ..exceptions import DatasetError
 from ..observability.tracer import span
 from .checkpoint import CheckpointManager, RecoveryReport
 from .compaction import Compactor
-from .delta import DeltaOverlay, LiveView
+from .delta import DeltaOverlay, HolderScan, LiveView
 from .snapshots import EpochManager, Snapshot
 from .wal import WalRecord, WriteAheadLog
 
@@ -635,15 +633,15 @@ class LiveMCKEngine:
                 epoch=snapshot.epoch,
             )
 
-    def nearest_holder_distances(
-        self, points, terms: Sequence[str], within
-    ) -> np.ndarray:
-        """Distance from ``points[i]`` to its nearest live holder of
-        ``terms[i]`` on the current snapshot, exact wherever it is at most
-        ``within[i]`` (see :meth:`LiveView.nearest_holder_distances`)."""
-        return self._epochs.current().view().nearest_holder_distances(
-            points, terms, within
-        )
+    def nearest_holders(
+        self, points, terms: Sequence[str], within, gather, anchors
+    ) -> HolderScan:
+        """One batched holder scan of the current snapshot, tagged with its
+        epoch (see :meth:`LiveView.nearest_holders`)."""
+        snapshot = self._epochs.current()
+        return snapshot.view().nearest_holders(
+            points, terms, within, gather, anchors
+        )._replace(epoch=snapshot.epoch)
 
     def _context(
         self, snapshot: Snapshot, keywords: Sequence[str]

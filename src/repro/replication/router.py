@@ -42,8 +42,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.common import (
     Instrumentation,
     QUALITY_PARTIAL,
@@ -57,6 +55,7 @@ from ..exceptions import (
     DatasetError,
     InfeasibleQueryError,
 )
+from ..live.delta import HolderScan
 from ..live.engine import MutationListener
 from .group import ReplicationGroup
 
@@ -756,21 +755,19 @@ class ReplicatedShardRouter:
             (g.primary_engine.epoch for g in self.live_groups()), default=0
         )
 
-    def nearest_holder_distances(
-        self, points, terms: Sequence[str], within
-    ) -> np.ndarray:
-        """Distance from ``points[i]`` to its nearest live holder of
-        ``terms[i]``, exact wherever it is at most ``within[i]``: the
-        minimum over the shard primaries."""
-        best = np.full(len(terms), math.inf)
-        for group in self.live_groups():
-            best = np.minimum(
-                best,
-                group.primary_engine.nearest_holder_distances(
-                    points, terms, within
-                ),
-            )
-        return best
+    def nearest_holders(
+        self, points, terms: Sequence[str], within, gather, anchors
+    ) -> HolderScan:
+        """One batched holder scan per shard primary, merged: the nearest
+        holder over every shard, every shard's holders in reach (see
+        :meth:`~repro.live.delta.LiveView.nearest_holders`)."""
+        scans = [
+            group.primary_engine.nearest_holders(points, terms, within, gather, anchors)
+            for group in self.live_groups()
+        ]
+        if not scans:
+            return HolderScan.nothing(len(terms), len(anchors))
+        return HolderScan.merge(scans)
 
     def add_mutation_listener(self, listener: MutationListener) -> None:
         self._listeners.append(listener)

@@ -1,4 +1,4 @@
-"""LRU + TTL result cache with write-scoped revalidation.
+"""LRU + TTL result cache with write-scoped revalidation and repair.
 
 Keys are ``(frozenset(keywords), canonical_algorithm, epsilon)`` — keyword
 *sets*, because an mCK answer is order-independent (and
@@ -27,32 +27,56 @@ The stamp is the **sum**, not the max, of the per-keyword counters: with
 — the stale entry would survive — while the sum strictly increases on
 every bump of any member keyword.
 
-Revalidation: keep what a write cannot change
----------------------------------------------
+Revalidation: keep what a write cannot change, repair what it beats
+-------------------------------------------------------------------
 An mCK answer A is judged by one number, its diameter d(A).  After each
 published write, :meth:`ResultCache.revalidate` bumps the touched
 keywords and hands the entries they touch to :func:`judge_answers`,
 which checks each against the post-write store:
 
 * **delete** — removing objects cannot create a smaller group, so A
-  survives unless a deleted object is one of its members;
-* **insert of p** — a group holding p with diameter below d(A) has a
-  holder of every query keyword within d(A) of p.  So A survives if
-  some query keyword that p does not hold has its nearest live holder
-  farther than d(A) from p.  **Ties drop**: a holder at exactly d(A)
-  (within float rounding) could reorder the ``(diameter, oids)``
-  ranking, so the entry is dropped.  An insert holding every query
-  keyword always drops.
+  survives unless a deleted object is one of its members (then it drops);
+* **insert of p** — only a group holding p can beat A, and one with
+  diameter below d(A) has a holder of every query keyword within d(A) of
+  p.  So A survives untouched if some query keyword that p lacks has its
+  nearest live holder farther than d(A) from p;
+* **repair** — otherwise, if p lacks k <= 2 query keywords, the best
+  group B holding p is computed exactly: ``{p}`` for k = 0, p and the
+  nearest live holder of the missing keyword for k = 1, and for k = 2 the
+  holder pair minimising max(|p h1|, |p h2|, |h1 h2|) over the holders
+  within d(A) of p.  If B beats A, the entry is replaced by B;
+* **drops** — a tie, B within ``TIE_SLACK`` of d(A) (it could reorder the
+  ``(diameter, oids)`` ranking); an insert lacking k >= 3 keywords that
+  reaches them all; an uncertified answer (``partial`` or degraded) that
+  an insert could beat; an insert a later write already deleted (it is
+  not live in the scanned snapshot).
+
+Replacing A by min(A, B) keeps every certified tag's promise.  Let O be
+the optimum before the write; every group new to the store holds an
+insert, so the new optimum is min(O, best B).  If B <= O, B *is* the new
+optimum — exact whatever A's tag was.  Otherwise the optimum is still O
+and d(B) < d(A), so:
+
+* ``exact``: d(A) = O, and B < d(A) means B <= O — the first case;
+* ``approx_2sqrt3``: d(B) < d(A) <= (2/sqrt(3) + epsilon) O;
+* ``greedy_2x``: d(B) < d(A) <= 2 O.
+
+Deletes in the same write only raise the optimum, so neither bound
+weakens.  The members of B are live in the snapshot the judge scanned
+(the insert's own liveness is checked too), and a later write deleting
+one of them runs its own revalidation after this one, which drops B.
 
 A kept entry is re-stamped to the new generation and counted under
-``revalidated``; a dropped one is an invalidation.  Only an entry whose
-stamp was current just before this write's bump is re-stamped, so a fill
-whose query raced the write, or an entry already stale from an earlier
-write, still misses exactly as without revalidation.
+``revalidated``, a replaced one is re-stamped with its new group and
+counted under ``repaired``; a dropped one is an invalidation.  Only an
+entry whose stamp was current just before this write's bump is
+re-stamped, so a fill whose query raced the write, or an entry already
+stale from an earlier write, still misses exactly as without
+revalidation.
 
-A kept EXACT answer is still optimal, with the fresh optimum's diameter.
-A kept SKECa+ or GKG answer keeps its quality bound — the optimum did not
-move — but may differ from what a fresh run would return.
+A kept or repaired EXACT answer is optimal, with the fresh optimum's
+diameter.  A kept or repaired SKECa+ or GKG answer keeps its quality
+bound but may differ from what a fresh run would return.
 
 Accounting
 ----------
@@ -62,16 +86,18 @@ reason, so the books always balance::
     inserts == live + evictions + expirations + invalidations
 
 (an overwrite of a live key counts the displaced entry as an eviction;
-a revalidated entry stays live, so it is not a removal).
+a revalidated or repaired entry stays live, so it is not a removal).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections import OrderedDict
 from itertools import repeat
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Hashable,
@@ -85,7 +111,12 @@ from typing import (
 
 import numpy as np
 
+from ..core.common import QUALITY_APPROX, QUALITY_EXACT, QUALITY_GREEDY
 from ..core.engine import canonical_algorithm
+from ..geometry.mcc import minimum_covering_circle
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..live.delta import HolderScan
 
 __all__ = ["ResultCache", "KeywordGenerations", "judge_answers", "make_cache_key"]
 
@@ -95,6 +126,10 @@ CacheKey = Tuple[frozenset, str, float]
 #: counts as reaching d(A), so float rounding between the nearest-holder
 #: distance and the group's diameter can never keep a beaten answer.
 TIE_SLACK = 1e-9
+
+#: Quality tags whose ratio bound a smaller group keeps (``partial`` has
+#: none), so a write may repair such an answer instead of dropping it.
+CERTIFIED = frozenset({QUALITY_EXACT, QUALITY_APPROX, QUALITY_GREEDY})
 
 
 def make_cache_key(
@@ -183,6 +218,7 @@ class ResultCache:
         self._expirations = 0
         self._invalidations = 0
         self._revalidated = 0
+        self._repaired = 0
         #: keyword -> keys of the live entries whose query mentions it.
         self._by_keyword: Dict[str, Set[Hashable]] = {}
         #: Serialises revalidations: a write's bump, judgement and
@@ -352,17 +388,19 @@ class ResultCache:
     def revalidate(
         self,
         keywords: Iterable[str],
-        judge: Callable[[List[Tuple[CacheKey, object]]], Sequence[bool]],
-    ) -> Tuple[int, int]:
+        judge: Callable[[List[Tuple[CacheKey, object]]], Sequence[object]],
+    ) -> Tuple[int, int, int]:
         """Age ``keywords`` for one write and re-check what it touched.
 
         The entries whose keyword set meets ``keywords`` and whose stamp
         is current just before the bump go to ``judge`` — run outside the
-        cache lock, so readers are not held up — which returns one keep
-        flag per ``(key, value)``.  A kept entry is re-stamped to the new
-        generation (counted under ``revalidated``); a rejected one is
-        dropped as an invalidation.  Everything else stays on the
-        generation fallback.  Returns ``(kept, dropped)``.
+        cache lock, so readers are not held up — which returns one verdict
+        per ``(key, value)``: ``True`` keeps the entry, ``False`` drops it,
+        anything else is the value to serve in its place.  A kept entry is
+        re-stamped to the new generation (counted under ``revalidated``),
+        a replaced one is re-stamped with its new value (``repaired``), a
+        rejected one is dropped as an invalidation.  Everything else stays
+        on the generation fallback.  Returns ``(kept, repaired, dropped)``.
         """
         if self.generations is None:
             raise TypeError("revalidation needs keyword generations")
@@ -377,23 +415,28 @@ class ResultCache:
             current = [entry for entry, stamp in zip(hit, now) if entry[2] == stamp]
             self.generations.bump(touched)
             verdicts = judge([(key, value) for key, value, _ in current])
-            kept = dropped = 0
+            kept = repaired = dropped = 0
             with self._lock:
-                for (key, value, stamp), keep in zip(current, verdicts):
+                for (key, value, stamp), verdict in zip(current, verdicts):
                     entry = self._entries.get(key)
                     if entry is None or entry[0] is not value or entry[2] != stamp:
                         continue  # replaced or dropped while being judged
-                    if keep:
-                        # The exact post-bump stamp, not a fresh read: a
-                        # bump from anywhere else must still condemn it.
-                        restamp = stamp + len(key[0] & touched)
-                        self._entries[key] = (value, entry[1], restamp)
+                    if not isinstance(verdict, (bool, np.bool_)):
+                        value = verdict
+                        repaired += 1
+                    elif verdict:
                         kept += 1
                     else:
                         self._drop(key, "invalidated")
                         dropped += 1
+                        continue
+                    # The exact post-bump stamp, not a fresh read: a bump
+                    # from anywhere else must still condemn it.
+                    restamp = stamp + len(key[0] & touched)
+                    self._entries[key] = (value, entry[1], restamp)
                 self._revalidated += kept
-            return kept, dropped
+                self._repaired += repaired
+            return kept, repaired, dropped
 
     def _keys_touching(self, keywords: Iterable[str]) -> List[Hashable]:
         """Keys of the entries whose query mentions any of ``keywords``."""
@@ -414,6 +457,7 @@ class ResultCache:
                 "expirations": self._expirations,
                 "invalidations": self._invalidations,
                 "revalidated": self._revalidated,
+                "repaired": self._repaired,
             }
 
 
@@ -431,22 +475,26 @@ def _scope(key: Hashable) -> frozenset:
 def judge_answers(
     entries: Sequence[Tuple[CacheKey, object]],
     mutations: Sequence,
-    nearest: Callable[[np.ndarray, List[str], np.ndarray], np.ndarray],
-) -> Tuple[List[bool], int]:
-    """Keep flags for cached answers after one write, plus lookups made.
+    scan: Callable[..., "HolderScan"],
+) -> Tuple[List[object], int]:
+    """Verdicts for cached answers after one write, plus lookups made.
 
     ``entries`` are ``(key, group)`` pairs; ``mutations`` carry ``op``,
     ``oid``, ``keywords``, ``x``, ``y`` (see
-    :class:`~repro.live.engine.Mutation`).  ``nearest(points, terms,
-    within)`` gives each point's distance to its nearest live holder of
-    the paired term in the post-write store — exact up to the paired
-    bound, and never below the true distance beyond it.
+    :class:`~repro.live.engine.Mutation`).  ``scan(points, terms, within,
+    gather, anchors)`` is one batched holder scan of the post-write store
+    (see :meth:`~repro.live.delta.LiveView.nearest_holders`).  Each
+    verdict is ``True`` (keep), ``False`` (drop) or the repaired
+    :class:`~repro.core.result.Group` to serve instead.
 
-    An insert p keeps an answer when some query keyword it lacks has no
-    live holder within the answer's diameter.  Every (answer, insert)
-    check is decided in numpy from one batched ``nearest`` call over the
-    distinct (insert, keyword) pairs, each bounded by the widest diameter
-    that asks for it.
+    An insert p is settled for an answer when some query keyword it lacks
+    has no live holder within the answer's diameter.  Otherwise, when p
+    lacks at most two query keywords, the best group holding p is built
+    from the scan (p alone, p and its nearest holder, or p and the best
+    in-reach holder pair) and replaces a certified answer it beats.  Every
+    (answer, insert) check is decided from one scan over the distinct
+    (insert, keyword) pairs, each bounded by the widest diameter that asks
+    for it.
     """
     deleted = {m.oid for m in mutations if m.op == "delete"}
     inserts = [m for m in mutations if m.op == "insert"]
@@ -471,26 +519,124 @@ def judge_answers(
                 held[i, slot[t]] = True
     holds = held[:, kw].transpose(1, 0, 2)
     lacking = (kw >= 0)[:, None, :] & ~holds
-    # An insert holding no query keyword cannot be in a smallest group;
-    # one lacking none covers the query alone.
+    # An insert holding no query keyword cannot be in a smallest group.
     shares = holds.any(axis=2)
-    keep &= ~(shares & ~lacking.any(axis=2)).any(axis=1)
-    limit = np.array([group.diameter for _, group in entries]) * (1.0 + TIE_SLACK)
+    diameter = np.array([group.diameter for _, group in entries])
+    limit = diameter * (1.0 + TIE_SLACK)
     # One row per (check, lacking keyword) of every open check; each
     # distinct (insert, keyword) pair is looked up once, out to the
-    # widest limit that asks for it.
+    # widest limit that asks for it.  Checks lacking one or two keywords
+    # also gather those keywords' holders in reach, for the repair.
     e_idx, i_idx = np.nonzero(shares & keep[:, None])
+    if not len(e_idx):
+        return keep.tolist(), 0
+    k_idx = lacking[e_idx, i_idx].sum(axis=1)
     c, j = np.nonzero(lacking[e_idx, i_idx])
     e_c, i_c, t_c = e_idx[c], i_idx[c], kw[e_idx[c], j]
     within = np.full((len(inserts), len(names)), -1.0)
     np.maximum.at(within, (i_c, t_c), limit[e_c])
+    gather = np.zeros_like(within, dtype=bool)
+    small = k_idx[c] <= 2
+    gather[i_c[small], t_c[small]] = True
     pi, pt = np.nonzero(within >= 0.0)
-    reach = np.zeros_like(within)
-    if len(pi):
-        xy = np.array([(m.x, m.y) for m in inserts], dtype=np.float64)
-        reach[pi, pt] = nearest(xy[pi], [names[t] for t in pt], within[pi, pt])
+    pair_of = np.full(within.shape, -1, dtype=np.intp)
+    pair_of[pi, pt] = np.arange(len(pi))
+    xy = np.array([(m.x, m.y) for m in inserts], dtype=np.float64)
+    found = scan(
+        xy[pi], [names[t] for t in pt], within[pi, pt], gather[pi, pt],
+        [m.oid for m in inserts],
+    )
     settled = np.zeros(len(e_idx), dtype=bool)
-    settled[c[reach[i_c, t_c] > limit[e_c]]] = True
-    # A check with every lacking keyword within reach sinks its entry.
-    keep[e_idx[~settled]] = False
-    return keep.tolist(), len(pi)
+    settled[c[found.distance[pair_of[i_c, t_c]] > limit[e_c]]] = True
+    by_pair = np.argsort(found.reach_pair, kind="stable")
+    cuts = np.searchsorted(found.reach_pair[by_pair], np.arange(len(pi) + 1))
+
+    def holders(i: int, t: int, bound: float):
+        """Insert ``i``'s gathered holders of term slot ``t`` within
+        ``bound``: oids, coordinates and squared distances."""
+        p = pair_of[i, t]
+        rows = by_pair[cuts[p] : cuts[p + 1]]
+        gaps = np.sum((found.reach_xy[rows] - xy[i]) ** 2, axis=1)
+        near = gaps <= bound * bound
+        return found.reach_oid[rows[near]], found.reach_xy[rows[near]], gaps[near]
+
+    # A check with every lacking keyword within reach can beat its entry:
+    # repair a certified entry from the best group holding the insert,
+    # drop anything else.
+    verdicts: List[object] = keep.tolist()
+    best: Dict[int, Tuple[float, List[int], np.ndarray]] = {}
+    for e, i, k in zip(
+        e_idx[~settled].tolist(), i_idx[~settled].tolist(), k_idx[~settled].tolist()
+    ):
+        if not verdicts[e]:
+            continue
+        group = entries[e][1]
+        if k > 2 or not _certified(group) or not found.anchors_live[i]:
+            verdicts[e] = False
+            continue
+        smallest = _best_group_holding(
+            inserts[i].oid,
+            xy[i],
+            [holders(i, t, limit[e]) for t in kw[e][lacking[e, i]]],
+        )
+        if smallest is not None and smallest[0] > limit[e]:
+            continue  # cannot beat the entry
+        if smallest is None or smallest[0] >= diameter[e] * (1.0 - TIE_SLACK):
+            # A tie could reorder the ranking.  An empty holder list means
+            # the nearest holder sat on the bound up to rounding: a tie too.
+            verdicts[e] = False
+        elif e not in best or smallest[0] < best[e][0]:
+            best[e] = smallest
+    for e, (d, oids, points) in best.items():
+        if verdicts[e]:
+            verdicts[e] = _repaired(entries[e][1], d, oids, points, found.epoch)
+    return verdicts, len(pi)
+
+
+def _certified(group) -> bool:
+    """True when ``group`` carries a ratio bound a smaller group keeps."""
+    return group.quality in CERTIFIED and not group.degraded
+
+
+def _best_group_holding(
+    oid: int, at: np.ndarray, lacking: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> Optional[Tuple[float, List[int], np.ndarray]]:
+    """The smallest group holding object ``oid`` (at ``at``) that covers
+    the query keywords it lacks.
+
+    ``lacking`` holds, per lacking keyword (none: the object covers the
+    query alone), its holders within the bound of interest as ``(oids,
+    coordinates, squared distances to at)``.  One lacking keyword pairs
+    the object with its nearest holder; two take the holder pair
+    minimising the group's diameter, preferring one holder of both on a
+    tie.  A group within the bound has every member that close, so the
+    lists suffice.  Returns ``(diameter, oids, points)``, or ``None``
+    when some list is empty.
+    """
+    if not lacking:
+        return 0.0, [oid], at[None, :]
+    if any(not len(oids) for oids, _xy, _gaps in lacking):
+        return None
+    if len(lacking) == 1:
+        ((oids, xys, gaps),) = lacking
+        a = int(np.argmin(gaps))
+        return float(np.sqrt(gaps[a])), [oid, int(oids[a])], np.stack([at, xys[a]])
+    (oid1, xy1, gap1), (oid2, xy2, gap2) = lacking
+    between = np.sum((xy1[:, None, :] - xy2[None, :, :]) ** 2, axis=2)
+    spans = np.maximum(np.maximum(gap1[:, None], gap2[None, :]), between)
+    ties = np.argwhere(spans == spans.min())
+    one = oid1[ties[:, 0]] == oid2[ties[:, 1]]
+    a, b = ties[np.argmax(one)]
+    oids = list(dict.fromkeys([oid, int(oid1[a]), int(oid2[b])]))
+    return float(np.sqrt(spans[a, b])), oids, np.stack([at, xy1[a], xy2[b]])
+
+
+def _repaired(group, diameter: float, oids: List[int], points, epoch: int):
+    """``group``'s answer replaced by a smaller group found on ``epoch``."""
+    return dataclasses.replace(
+        group,
+        object_ids=tuple(sorted(oids)),
+        diameter=diameter,
+        enclosing_circle=minimum_covering_circle(points),
+        stats={**group.stats, "repaired": 1.0, "epoch": float(epoch)},
+    )

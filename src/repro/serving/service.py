@@ -569,8 +569,8 @@ class QueryService:
 
     def _on_mutation(self, mutations: Tuple[Mutation, ...]) -> None:
         """Post-publish mutation hook: re-check the cached answers a write
-        touched, keeping those it cannot change (see
-        :mod:`repro.serving.cache`).
+        touched, keeping those it cannot change and repairing those its
+        inserts beat (see :mod:`repro.serving.cache`).
 
         Runs after the new epoch is visible (the engine guarantees the
         ordering), so every answer is judged against data at least as new
@@ -583,8 +583,8 @@ class QueryService:
         def judge(entries):
             nonlocal lookups
             try:
-                keep, lookups = judge_answers(
-                    entries, mutations, self.engine.nearest_holder_distances
+                verdicts, lookups = judge_answers(
+                    entries, mutations, self.engine.nearest_holders
                 )
             except Exception as err:  # noqa: BLE001 - the write already landed
                 # Fail safe: drop what could not be judged, keep the writer.
@@ -593,23 +593,27 @@ class QueryService:
                     error=repr(err),
                     traceback=traceback.format_exc(),
                 )
-                keep = [False] * len(entries)
-            return keep
+                verdicts = [False] * len(entries)
+            return verdicts
 
         with self._span(
             "serve.cache_revalidate", mutations=len(mutations)
         ) as span:
-            kept, dropped = self.cache.revalidate(touched, judge)
+            kept, repaired, dropped = self.cache.revalidate(touched, judge)
             span.set_attribute("kept", kept)
+            span.set_attribute("repaired", repaired)
             span.set_attribute("dropped", dropped)
             span.set_attribute("lookups", lookups)
         if kept:
             self.metrics.cache_revalidated_counter.inc(float(kept))
+        if repaired:
+            self.metrics.cache_repaired_counter.inc(float(repaired))
         _log.debug(
             "live.mutation",
             mutations=len(mutations),
             keywords=sorted(touched),
             kept=kept,
+            repaired=repaired,
             dropped=dropped,
         )
 

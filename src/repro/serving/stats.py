@@ -267,6 +267,11 @@ class MetricsRegistry:
             help="Cached results a write touched but provably could not "
             "change, kept and re-stamped.",
         )
+        self.cache_repaired_counter = self.counter(
+            "mck_cache_repaired_total",
+            help="Cached results a write's inserts beat, replaced by the "
+            "smaller group holding an insert and re-stamped.",
+        )
         self.wal_records_counter = self.counter(
             "mck_wal_records_total",
             help="Records appended to the write-ahead log, by op and shard.",

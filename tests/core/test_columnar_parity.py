@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-import repro.geometry.mcc as mcc
 from repro.core.engine import MCKEngine
 from repro.core.exact import exact
 from repro.core.gkg import gkg
@@ -56,9 +55,6 @@ def workload():
 def _run_all(dataset, queries, vectorized):
     """One full sweep in the given kernel mode; returns comparable tuples."""
     set_vectorized(vectorized)
-    # Welzl's MCC keeps a module-level shuffler; pin it so both modes see
-    # the same shuffle sequence (it is workload state, not kernel state).
-    mcc._SHUFFLER = random.Random(0x5EED)
     out = {}
     for name, fn in ALGORITHMS.items():
         runs = []
@@ -104,13 +100,11 @@ class TestColumnarParity:
         original = vectorized_enabled()
         try:
             set_vectorized(True)
-            mcc._SHUFFLER = random.Random(0x5EED)
             vec = [
                 engine.query(list(q), algorithm="SKECa+").object_ids
                 for q in queries
             ]
             set_vectorized(False)
-            mcc._SHUFFLER = random.Random(0x5EED)
             obj = [
                 engine.query(list(q), algorithm="SKECa+").object_ids
                 for q in queries

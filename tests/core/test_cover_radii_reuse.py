@@ -19,7 +19,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.geometry.mcc as mcc
 from repro import Dataset, MCKEngine
 from repro.core import skecaplus
 from repro.core.common import Deadline, Instrumentation
@@ -60,7 +59,6 @@ def _live(cache):
 
 
 def _answer(engine, algorithm):
-    mcc._SHUFFLER = random.Random(0x5EED)
     inst = Instrumentation()
     group = engine.query(QUERY, algorithm=algorithm, instrumentation=inst)
     return (
@@ -166,26 +164,18 @@ def test_threads_reading_radii_at_different_bounds():
         assert not wrong, (round_, wrong)
 
 
-class _InputOrder:
-    """An MCC shuffler that keeps the input order, the same in every thread."""
-
-    def shuffle(self, points):
-        pass
-
-
 def _run(ctx, algorithm):
     inst = Instrumentation()
     group = _RUNNERS[algorithm](ctx, DEFAULT_EPSILON, Deadline(algorithm, None, inst))
     return group.object_ids, group.diameter, dict(group.stats), dict(inst.counters)
 
 
-def test_threads_sharing_a_context_answer_like_fresh_contexts(monkeypatch):
+def test_threads_sharing_a_context_answer_like_fresh_contexts():
     """Threads run algorithms whose radii bounds differ (SKEC and SKECa
     none, SKECa+ and EXACT their own probe radius, which every SKECa+
     binary step also tightens on the shared context) on one context at
     a time, as a live engine's cached context is shared by a service's
     worker threads; each must answer as on a context of its own."""
-    monkeypatch.setattr(mcc, "_SHUFFLER", _InputOrder())
     dataset = Dataset.from_records(_records()[:90], name="threads")
     order = ("SKECa+", "EXACT", "SKEC", "SKECa+", "SKECa", "EXACT")
     fresh = {a: _run(compile_query(dataset, QUERY), a) for a in set(order)}

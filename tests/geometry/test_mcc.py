@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -91,3 +92,43 @@ class TestAgainstNaive:
         c1 = minimum_covering_circle(pts)
         c2 = minimum_covering_circle(list(reversed(pts)))
         assert c1.r == pytest.approx(c2.r, rel=1e-12)
+
+
+class TestPureFunction:
+    """The circle depends on the input points alone: not on the calls
+    that ran before, nor on threads computing circles at the same time."""
+
+    SETS = [
+        [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(25)]
+        for rng in [random.Random(17)]
+        for _ in range(16)
+    ]
+
+    def test_same_points_same_circle_whatever_ran_before(self):
+        first = [minimum_covering_circle(pts) for pts in self.SETS]
+        rng = random.Random(3)
+        for _ in range(50):  # unrelated calls in between
+            minimum_covering_circle(
+                [(rng.uniform(0, 9), rng.uniform(0, 9)) for _ in range(rng.randint(2, 30))]
+            )
+        again = [minimum_covering_circle(pts) for pts in reversed(self.SETS)][::-1]
+        assert again == first
+
+    def test_same_circles_from_eight_threads_at_once(self):
+        want = [minimum_covering_circle(pts) for pts in self.SETS]
+        got = [None] * 8
+        start = threading.Barrier(8)
+
+        def work(slot):
+            start.wait()
+            rounds = [
+                [minimum_covering_circle(pts) for pts in self.SETS] for _ in range(20)
+            ]
+            got[slot] = rounds
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+        assert all(rounds == [want] * 20 for rounds in got)

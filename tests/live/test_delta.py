@@ -203,8 +203,10 @@ class TestLiveIndex:
 
     def test_nearest_holder_distances_match_a_loop(self):
         """The vectorised slab scan against a plain loop over live objects:
-        exact wherever the nearest holder is within the bound, never
-        below the true distance beyond it."""
+        exact wherever the nearest holder is within the bound, never below
+        the true distance beyond it; a gathered pair lists exactly the live
+        holders within its bound, with their coordinates; anchors report
+        liveness."""
         rng = random.Random(5)
         terms = ["a", "b", "c", "d"]
         records = [
@@ -236,18 +238,33 @@ class TestLiveIndex:
             ((rng.uniform(-5, 55), rng.uniform(-5, 55)), rng.choice(terms + ["new", "zz"]), rng.choice([0.0, 3.0, 8.0, math.inf]))
             for _ in range(400)
         ]
-        got = view.nearest_holder_distances(
-            [p for p, _t, _w in pairs], [t for _p, t, _w in pairs], [w for _p, _t, w in pairs]
+        gather = [rng.random() < 0.5 for _ in pairs]
+        anchors = [0, 5, 150, 205, 399, 10**6]
+        got = view.nearest_holders(
+            [p for p, _t, _w in pairs], [t for _p, t, _w in pairs],
+            [w for _p, _t, w in pairs], gather, anchors,
         )
-        for ((x, y), term, within), dist in zip(pairs, got):
-            want = min(
-                (math.hypot(o.x - x, o.y - y) for o in view if term in o.keywords),
-                default=math.inf,
-            )
-            if want <= within:
+        assert got.anchors_live.tolist() == [oid in view for oid in anchors]
+        for i, ((x, y), term, within) in enumerate(pairs):
+            dist = got.distance[i]
+            holders = {
+                o.oid: math.hypot(o.x - x, o.y - y) for o in view if term in o.keywords
+            }
+            want = min(holders.values(), default=math.inf)
+            if want == math.inf:
+                assert dist == math.inf
+            elif want <= within:
                 assert dist == pytest.approx(want, rel=1e-12, abs=1e-12)
             else:
                 assert dist >= want * (1 - 1e-12)
+            listed = got.reach_oid[got.reach_pair == i].tolist()
+            assert len(listed) == len(set(listed))
+            if gather[i]:
+                assert set(listed) == {o for o, d in holders.items() if d <= within}
+                for oid, (hx, hy) in zip(listed, got.reach_xy[got.reach_pair == i]):
+                    assert (hx, hy) == (view[oid].x, view[oid].y)
+            else:
+                assert not listed
 
     def test_keyword_holders(self, base):
         delta = (

@@ -60,12 +60,20 @@ class TestMutationPath:
         engine.close()
 
 
+def _fresh_exact(records, keywords):
+    """A fresh engine's EXACT answer over ``records``."""
+    with LiveMCKEngine.from_records(records) as fresh:
+        return fresh.query(keywords, algorithm="EXACT")
+
+
 class TestInvalidation:
-    """A write drops a cached answer only when it could change it.
+    """A write drops a cached answer only when it could change it, and
+    repairs one its insert beats.
 
     The cached ``[shrine, shop]`` answer is objects 0 and 1, diameter
     ~1.118.  A shop at (10.2, 10.2) sits 0.28 from shrine 0 and forms a
-    smaller group; a shop at (30, 30) is ~28 from every shrine and cannot.
+    smaller group, which replaces the answer; a shop at (30, 30) is ~28
+    from every shrine and cannot.
     """
 
     NEAR_SHOP = (10.2, 10.2, ["shop"])
@@ -76,7 +84,13 @@ class TestInvalidation:
         service.query(["restaurant"])
         assert service.query(["shrine", "shop"]).stats.cache_hit
         assert service.query(["restaurant"]).stats.cache_hit
-        service.insert(*self.NEAR_SHOP)
+        near = service.insert(*self.NEAR_SHOP)
+        repaired = service.query(["shrine", "shop"])
+        assert repaired.stats.cache_hit
+        fresh = _fresh_exact(RECORDS + [self.NEAR_SHOP], ["shrine", "shop"])
+        assert repaired.group.object_ids == fresh.object_ids == (0, near)
+        assert repaired.group.diameter == pytest.approx(fresh.diameter, rel=1e-12)
+        service.delete(near)  # a member of the repaired answer
         assert not service.query(["shrine", "shop"]).stats.cache_hit
         assert service.query(["restaurant"]).stats.cache_hit
 
@@ -110,15 +124,21 @@ class TestInvalidation:
 
     def test_invalidation_counter_reaches_metrics(self, service):
         service.query(["shrine", "shop"])
-        service.insert(*self.NEAR_SHOP)
+        service.delete(1)  # the shop in the cached answer
         service.query(["shrine", "shop"])  # misses: the write dropped it
         rendered = service.metrics.to_prometheus()
         assert "mck_cache_invalidations_total 1" in rendered
         service.insert(*self.FAR_SHOP)
         assert service.query(["shrine", "shop"]).stats.cache_hit
+        near = service.insert(*self.NEAR_SHOP)
+        repaired = service.query(["shrine", "shop"])
+        assert repaired.stats.cache_hit
+        assert repaired.group.object_ids == (0, near)
         rendered = service.metrics.to_prometheus()
         assert "mck_cache_invalidations_total 1" in rendered
         assert "mck_cache_revalidated_total 1" in rendered
+        assert "mck_cache_repaired_total 1" in rendered
+        assert service.cache.stats()["repaired"] == 1
 
     def test_conservation_identity_holds(self, service):
         for _ in range(3):

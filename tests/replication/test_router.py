@@ -215,6 +215,25 @@ class TestServingSurface:
             rendered = registry.to_prometheus()
             assert 'mck_fanout_shards_total{outcome="answered"}' in rendered
 
+    def test_query_service_repairs_cached_answers(self):
+        from repro.serving import QueryService
+
+        with ReplicatedShardRouter(
+            _records(), n_shards=4, replicas_per_shard=0
+        ) as router, QueryService(router, max_workers=2) as service:
+            p = router.insert(60.0, 60.0, ["p"])
+            q = router.insert(90.0, 90.0, ["q"])
+            assert service.query(["p", "q"], "EXACT").group.object_ids == (p, q)
+            near = service.insert(85.0, 85.0, ["p"])
+            hit = service.query(["p", "q"], "EXACT")
+            assert hit.stats.cache_hit
+            assert hit.group.object_ids == tuple(sorted((near, q)))
+            assert hit.group.diameter == pytest.approx(50 ** 0.5, rel=1e-12)
+            both = service.insert(20.0, 20.0, ["p", "q"])
+            hit = service.query(["p", "q"], "EXACT")
+            assert hit.stats.cache_hit and hit.group.object_ids == (both,)
+            assert service.cache.stats()["repaired"] == 2
+
     def test_mutation_listeners_fire_across_shards(self, router):
         events = []
         router.add_mutation_listener(
@@ -241,3 +260,31 @@ class TestServingSurface:
             assert 'mck_replication_lag_records{replica="0",shard="0"}' in rendered
             assert 'mck_replication_lag_seconds{replica="0",shard="0"}' in rendered
             assert "mck_shard_objects" in rendered
+
+
+def test_router_counters_repeat_across_runs():
+    """Two runs of one 4-shard router over the same 110 SKECa+ queries
+    report identical search counters: each shard's concurrent fan-out
+    computes its covering circles independently of the others."""
+    from repro.datasets.queries import generate_queries
+    from repro.datasets.synthetic import make_ny_like
+
+    dataset = make_ny_like(scale=0.05)
+    records = [(o.x, o.y, sorted(o.keywords)) for o in dataset]
+    queries, seen, seed = [], set(), 0
+    while len(queries) < 110:
+        for query in generate_queries(dataset, 3, 40, seed=seed):
+            if frozenset(query.keywords) not in seen and len(queries) < 110:
+                seen.add(frozenset(query.keywords))
+                queries.append(list(query.keywords))
+        seed += 1
+    with ReplicatedShardRouter(records, n_shards=4, replicas_per_shard=0) as router:
+        runs = [
+            [
+                (g.object_ids, g.stats.get("binary_steps"), g.stats.get("circle_scans"))
+                for g in (router.query(q, "SKECa+") for q in queries)
+            ]
+            for _ in range(2)
+        ]
+    assert sum(steps or 0 for _ids, steps, _scans in runs[0]) > 0
+    assert runs[0] == runs[1]

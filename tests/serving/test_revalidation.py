@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.index.columns import ColumnarStore
 from repro.live import LiveMCKEngine
 from repro.serving import QueryService
 from repro.serving.cache import KeywordGenerations, ResultCache, make_cache_key
@@ -39,15 +40,26 @@ class TestRevalidateProtocol:
     def test_kept_entry_is_restamped_and_counted(self):
         cache, _gen = _cache()
         cache.put(KEY, "answer")
-        assert cache.revalidate(["shop"], lambda entries: [True] * len(entries)) == (1, 0)
+        assert cache.revalidate(["shop"], lambda entries: [True] * len(entries)) == (1, 0, 0)
         assert cache.get(KEY) == "answer"
         st = cache.stats()
         assert st["revalidated"] == 1 and st["invalidations"] == 0
+        assert st["repaired"] == 0
+
+    def test_replaced_entry_is_restamped_and_counted(self):
+        cache, _gen = _cache()
+        cache.put(KEY, "answer")
+        assert cache.revalidate(["shop"], lambda entries: ["better"]) == (0, 1, 0)
+        assert cache.get(KEY) == "better"
+        st = cache.stats()
+        assert st["repaired"] == 1
+        assert st["revalidated"] == 0 and st["invalidations"] == 0
+        assert st["inserts"] == st["size"] + st["evictions"] + st["expirations"] + st["invalidations"]
 
     def test_rejected_entry_is_an_invalidation(self):
         cache, _gen = _cache()
         cache.put(KEY, "answer")
-        assert cache.revalidate(["shop"], lambda entries: [False] * len(entries)) == (0, 1)
+        assert cache.revalidate(["shop"], lambda entries: [False] * len(entries)) == (0, 0, 1)
         assert KEY not in cache
         st = cache.stats()
         assert st["invalidations"] == 1
@@ -124,11 +136,53 @@ class TestJudgeFailure:
         def broken(*_args):
             raise RuntimeError("lookup failed")
 
-        engine.nearest_holder_distances = broken
+        engine.nearest_holders = broken
         oid = service.insert(*FAR_SHOP)  # the write itself still lands
         assert oid in engine.dataset
         assert not service.query(["shrine", "shop"], "EXACT").stats.cache_hit
         assert service.cache.stats()["invalidations"] == 1
+
+
+class TestWriterCost:
+    def test_one_write_makes_one_batched_slab_lookup(self, live, monkeypatch):
+        """A write repairing a one-lacking (nearest holder) and a
+        two-lacking (holder pair) answer scans the store once: one call
+        into the engine, one batched slab lookup over the sealed base and
+        one posting lookup over the delta's add rows."""
+        engine, service = live
+        queries = (["shrine", "shop"], ["shrine", "shop", "restaurant"])
+        for keywords in queries:
+            service.query(keywords, "EXACT")
+        service.insert(30.0, 30.0, ["cafe"])  # the delta now has add rows
+        scans, lookups = [], []
+        real_scan = engine.nearest_holders
+        for name in ("holders_in_slabs", "holder_ranges"):
+            real = getattr(ColumnarStore, name)
+
+            def counted(store, *args, _name=name, _real=real):
+                lookups.append((_name, store))
+                return _real(store, *args)
+
+            monkeypatch.setattr(ColumnarStore, name, counted)
+        monkeypatch.setattr(
+            engine, "nearest_holders", lambda *a: scans.append(a) or real_scan(*a)
+        )
+        near = (10.7, 10.7, ["shrine"])  # lacks shop (k = 1) and shop + restaurant (k = 2)
+        service.insert(*near)
+        assert len(scans) == 1
+        snapshot = engine.snapshot()
+        assert lookups == [
+            ("holders_in_slabs", snapshot.base.columns),
+            ("holder_ranges", snapshot.delta.add_rows),
+        ]
+        assert service.cache.stats()["repaired"] == 2
+        with LiveMCKEngine.from_records(RECORDS + [(30.0, 30.0, ["cafe"]), near]) as fresh:
+            for keywords in queries:
+                hit = service.query(keywords, "EXACT")
+                want = fresh.query(keywords, algorithm="EXACT")
+                assert hit.stats.cache_hit
+                assert hit.group.object_ids == want.object_ids
+                assert hit.group.diameter == pytest.approx(want.diameter, rel=1e-12)
 
 
 class _GatedQueries:
@@ -183,6 +237,35 @@ class TestFillRaces:
         engine.insert(31.0, 31.0, ["shop"])  # write e+1, also far
         assert service.cache.stats()["revalidated"] == 0
         assert not service.query(["shrine", "shop"], "EXACT").stats.cache_hit
+
+
+class TestRepairRaces:
+    def test_insert_deleted_before_its_hook_runs_is_not_repaired_in(self):
+        """Write 1 inserts a shop that beats the cached answer; write 2
+        deletes that shop and runs its hook before write 1's does.  Write
+        1's hook then scans a store without the shop and must not install
+        a group holding it."""
+        engine = LiveMCKEngine.from_records(RECORDS)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_first_insert(mutations):
+            if mutations[0].op == "insert" and not held.is_set():
+                held.set()
+                assert release.wait(WAIT), "gate never released"
+
+        # Registered first, so it runs before the service's hook.
+        engine.add_mutation_listener(hold_first_insert)
+        with engine, QueryService(engine, max_workers=1) as service:
+            service.query(["shrine", "shop"], "EXACT")
+            writer = threading.Thread(target=engine.insert, args=(10.2, 10.2, ["shop"]))
+            writer.start()
+            assert held.wait(WAIT)
+            engine.delete(len(RECORDS))  # the near shop; this hook runs first
+            release.set()
+            writer.join(WAIT)
+            group = service.cache.get(KEY)
+            assert group is None or all(oid in engine.dataset for oid in group.object_ids)
+            assert service.cache.stats()["repaired"] == 0
 
 
 def test_racing_writers_and_readers_leave_only_valid_answers():
