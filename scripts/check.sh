@@ -39,7 +39,8 @@ echo "== replication smoke =="
 python scripts/replication_smoke.py
 
 echo "== perf gate (smoke scale) =="
-# Fast variant: parity + counter checks on the pinned seed without a
-# latency baseline (host speed varies; CI gates against the committed
-# small-scale baseline instead).
+# Fast variant: runs every algorithm on the pinned seed and prints the
+# host-normalised latencies, with no baseline to gate against (CI gates
+# answers, counters and the geometric-mean p50 against the committed
+# small-scale baseline).
 python benchmarks/perf_gate.py --scale smoke

@@ -212,10 +212,6 @@ def main():
                 result.explain is not None,
                 f"{algorithm}: no EXPLAIN report",
             )
-            check(
-                result.explain["execution"]["kernel_mode"] != "unknown",
-                f"{algorithm}: kernel mode unresolved",
-            )
             text = render_explain(result.explain)
             check(
                 "engine.algorithm" in text,

@@ -34,9 +34,7 @@ per-pole loop's semantics exactly:
   holds more than :data:`ROW_BUDGET` rows unless one pole alone does.
 
 :func:`circle_scan` and :func:`circle_scan_candidates` are one-segment
-uses of the same pass.  The object path (``REPRO_SCALAR_KERNELS=1``) walks
-each pole with the original per-event Python loop and is the reference
-oracle.
+uses of the same pass.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import vectorized_enabled
 from ..testing import faults as _faults
 from .query import QueryContext
 
@@ -84,16 +81,13 @@ def _sweep_view(ctx: QueryContext, pole_row: int, diameter: float):
     Rows are sorted by distance (ties by row index) with their polar
     angles around the pole.  None when even the whole sweeping area cannot
     cover the query — the coverage-radius precheck (paper: "the checking
-    on o is thus avoided") or the area's keyword union.  The columnar path
-    reads a radius-bounded pole cache, a bit-identical prefix of the full
-    distance sort the object path reads.
+    on o is thus avoided") or the area's keyword union.  It reads a
+    radius-bounded pole cache, a bit-identical prefix of the full distance
+    sort.
     """
     if ctx.hopeless(diameter, pole_row):
         return None
-    if vectorized_enabled():
-        cache = ctx.pole_cache_bounded(pole_row, diameter)
-    else:
-        cache = ctx.pole_cache(pole_row)
+    cache = ctx.pole_cache_bounded(pole_row, diameter)
     k = cache.prefix_length(diameter)
     if k == 0 or cache.prefix_union[k] != ctx.full_mask:
         return None
@@ -200,16 +194,6 @@ class SweepBatch:
     def first_cover(self) -> Tuple[int, Optional[Hit]]:
         """``(index, (rows, theta))`` of the first pole with a cover, or
         ``(len(poles), None)``."""
-        ctx, diameter = self.ctx, self.diameter
-        if not vectorized_enabled():
-            for index, (pole, view) in enumerate(zip(self.poles, self.views)):
-                _faults.fire("core.circlescan", pole=pole, diameter=diameter)
-                if view is not None:
-                    hit = _first_cover_scalar(ctx, _events_object(ctx, pole, view, diameter))
-                    if hit is not None:
-                        return index, hit
-            return len(self.poles), None
-
         segments, live = self._segments()
         index, hit = len(self.poles), None
         if segments is not None:
@@ -220,23 +204,11 @@ class SweepBatch:
             # Chaos site, once per visited pole: tests arm a delay here to
             # model a stalled sweep.
             for pole in self.poles[: index + 1]:
-                _faults.fire("core.circlescan", pole=pole, diameter=diameter)
+                _faults.fire("core.circlescan", pole=pole, diameter=self.diameter)
         return index, hit
 
     def candidates(self) -> List[List[List[int]]]:
         """Per pole, its maximal covering enclosed sets (EXACT's candidates)."""
-        ctx, diameter = self.ctx, self.diameter
-        if not vectorized_enabled():
-            return [
-                []
-                if view is None
-                else _maximal_sets(
-                    _covering_snapshots_scalar(
-                        ctx, _events_object(ctx, pole, view, diameter)
-                    )
-                )
-                for pole, view in zip(self.poles, self.views)
-            ]
         out: List[List[List[int]]] = [[] for _ in self.poles]
         segments, live = self._segments()
         if segments is not None:
@@ -385,121 +357,12 @@ class _Segments:
         return np.sort(self.rows[lo:hi][(seen & 1) != self.inside[lo:hi]]).tolist()
 
 
-def _events_object(ctx: QueryContext, pole_row: int, view, diameter: float):
-    """Object-path event construction: the original per-probe sequence.
-
-    Returns ``(inside_rows, angles, kinds, event_rows)`` sorted by angle
-    with enters (kind 1) before exits (kind 0) on ties; it recomputes
-    ``arctan2`` and keeps enter events at angle 0 (the walk's in-set guard
-    makes them no-ops).
-    """
-    rows, dists = view[0], view[1]
-    pole = ctx.coords[pole_row]
-
-    moving = dists > max(1e-12, 1e-15 * diameter)
-    always_rows = rows[~moving]
-    mrows = rows[moving]
-    if len(mrows) == 0:
-        return list(map(int, always_rows)), _EMPTY, _EMPTY_KINDS, _EMPTY_ROWS
-
-    pts = ctx.coords[mrows]
-    delta_x = pts[:, 0] - pole[0]
-    delta_y = pts[:, 1] - pole[1]
-    ratio = np.minimum(dists[moving] / diameter, 1.0)
-    beta = np.arccos(ratio)
-    phi = np.arctan2(delta_y, delta_x)
-    enter = np.mod(phi - beta, _TWO_PI)
-    exit_ = np.mod(phi + beta, _TWO_PI)
-
-    wraps = (enter > exit_) | (enter == 0.0)
-    inside_rows = [int(r) for r in always_rows]
-    inside_rows.extend(int(r) for r in mrows[wraps])
-
-    angles = np.concatenate([enter, exit_])
-    kinds = np.concatenate(
-        [np.ones(len(mrows), dtype=np.int8), np.zeros(len(mrows), dtype=np.int8)]
-    )
-    event_rows = np.concatenate([mrows, mrows])
-    order = np.lexsort((-kinds, angles))
-    return inside_rows, angles[order], kinds[order], event_rows[order]
-
-
-_EMPTY = np.empty(0, dtype=np.float64)
-_EMPTY_KINDS = np.empty(0, dtype=np.int8)
-_EMPTY_ROWS = np.empty(0, dtype=np.intp)
-
-
-def _first_cover_scalar(ctx: QueryContext, events) -> Optional[Hit]:
-    """Object-path event walk: the original per-event reference loop."""
-    inside_rows, angles, kinds, event_rows = events
-    masks = ctx.masks
-    full = ctx.full_mask
-
-    m = full.bit_length()
-    counts = [0] * m
-    covered = 0
-    inside = set(inside_rows)
-    for r in inside:
-        covered = _add_mask(masks[r], counts, covered)
-    if covered == full:
-        return sorted(inside), 0.0
-
-    for i in range(len(angles)):
-        r = int(event_rows[i])
-        if kinds[i]:  # enter
-            if r in inside:
-                continue
-            inside.add(r)
-            covered = _add_mask(masks[r], counts, covered)
-            if covered == full:
-                return sorted(inside), float(angles[i])
-        else:  # exit
-            if r not in inside:
-                continue
-            inside.discard(r)
-            covered = _remove_mask(masks[r], counts, covered)
-    return None
-
-
-def _covering_snapshots_scalar(ctx: QueryContext, events) -> set:
-    """Object-path full-rotation sweep (reference loop)."""
-    inside_rows, angles, kinds, event_rows = events
-    masks = ctx.masks
-    full = ctx.full_mask
-
-    m = full.bit_length()
-    counts = [0] * m
-    covered = 0
-    inside = set(inside_rows)
-    for r in inside:
-        covered = _add_mask(masks[r], counts, covered)
-
-    snapshots: set = set()
-    if covered == full:
-        snapshots.add(frozenset(inside))
-    for i in range(len(angles)):
-        r = int(event_rows[i])
-        if kinds[i]:
-            if r in inside:
-                continue
-            inside.add(r)
-            covered = _add_mask(masks[r], counts, covered)
-        else:
-            if r not in inside:
-                continue
-            inside.discard(r)
-            covered = _remove_mask(masks[r], counts, covered)
-        if covered == full:
-            snapshots.add(frozenset(inside))
-    return snapshots
-
-
 def _maximal_sets(snapshots) -> List[List[int]]:
     """Drop snapshots strictly contained in another; return sorted lists.
 
     The candidate order feeds EXACT's branch-and-bound incumbent updates,
     so ties are broken deterministically (by content, not set-iteration
-    order) — both kernel paths must emit candidates identically.
+    order), so candidates come out the same however the poles were batched.
     """
     ordered = sorted(snapshots, key=lambda s: (-len(s), tuple(sorted(s))))
     maximal: List[frozenset] = []
@@ -508,25 +371,3 @@ def _maximal_sets(snapshots) -> List[List[int]]:
             continue
         maximal.append(candidate)
     return [sorted(s) for s in maximal]
-
-
-def _add_mask(mask: int, counts: List[int], covered: int) -> int:
-    while mask:
-        low = mask & -mask
-        bit_pos = low.bit_length() - 1
-        counts[bit_pos] += 1
-        if counts[bit_pos] == 1:
-            covered |= low
-        mask ^= low
-    return covered
-
-
-def _remove_mask(mask: int, counts: List[int], covered: int) -> int:
-    while mask:
-        low = mask & -mask
-        bit_pos = low.bit_length() - 1
-        counts[bit_pos] -= 1
-        if counts[bit_pos] == 0:
-            covered &= ~low
-        mask ^= low
-    return covered

@@ -14,7 +14,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..exceptions import AlgorithmTimeout, QueryError
-from ..kernels import kernel_mode
 from ..observability import tracer as _tracing
 from ..observability.explain import build_explain, collect_trace_spans
 from .common import Deadline, Instrumentation, instrumentation_span
@@ -135,7 +134,6 @@ def run_query(
                     instrumentation,
                     "engine.algorithm",
                     algorithm=canonical,
-                    kernel=kernel_mode(),
                     **span_attrs,
                 ):
                     group = runner(ctx, epsilon, deadline)

@@ -25,8 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry.mcc import minimum_covering_circle
-from ..kernels import kernel_mode
-from ..kernels import vectorized_enabled as _vectorized_enabled
 from .circlescan import sweep_batches
 from .common import QUALITY_APPROX, QUALITY_EXACT, SQRT3_FACTOR, Deadline
 from .query import QueryContext
@@ -46,13 +44,11 @@ def exact(
     deadline = deadline or Deadline.unlimited("EXACT")
     with deadline.span(
         "exact.plan",
-        kernel=kernel_mode(),
         m=ctx.m,
         epsilon=epsilon,
         poles=len(ctx.relevant_ids),
     ):
         pass
-    deadline.count("kernel_vectorized", 1.0 if _vectorized_enabled() else 0.0)
     with deadline.span("exact.skeca_plus_bound"):
         state = skeca_plus_state(ctx, epsilon, deadline)
     return exact_from_state(ctx, state, deadline)

@@ -25,7 +25,6 @@ from typing import List, Optional
 import numpy as np
 
 from ..exceptions import InfeasibleQueryError, QueryError
-from ..kernels import kernel_mode, vectorized_enabled
 from .common import QUALITY_EXACT, QUALITY_GREEDY, QUALITY_PARTIAL, Deadline
 from .query import QueryContext
 from .result import Group
@@ -44,17 +43,15 @@ def gkg(
     if not anchor_rows:
         raise InfeasibleQueryError([ctx.t_inf])
     deadline.count("anchors", len(anchor_rows))
-    # Zero-duration "plan" marker: records the chosen strategy and kernel
-    # mode on the trace so EXPLAIN can report them post-hoc.
+    # Zero-duration "plan" marker: records the chosen strategy on the
+    # trace so EXPLAIN can report it post-hoc.
     with deadline.span(
         "gkg.plan",
         method=method,
-        kernel=kernel_mode(),
         m=ctx.m,
         anchors=len(anchor_rows),
     ):
         pass
-    deadline.count("kernel_vectorized", 1.0 if vectorized_enabled() else 0.0)
 
     full = ctx.full_mask
     for anchor in anchor_rows:
@@ -108,7 +105,7 @@ def _best_group_kdtree(
             _d, idx = tree.query(anchor_pts, k=1)
             nearest_row[bit_pos] = holders[idx]
 
-    if vectorized_enabled() and ctx.m <= 64:
+    if ctx.m <= 64:
         return _assemble_groups_batched(ctx, anchors, nearest_row, deadline)
 
     best_rows: Optional[List[int]] = None

@@ -138,7 +138,7 @@ class Dataset:
 
     The columns are the truth; :class:`GeoObject` rows and the
     ``locations[oid]`` / ``term_ids[oid]`` adapters are derived on demand
-    for public accessors and the object path.  A dataset pickles as its
+    for public accessors and the dataset-wide bR*-tree.  A dataset pickles as its
     columns and terms only.
     """
 

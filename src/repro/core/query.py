@@ -20,8 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..exceptions import QueryError
+from ..geometry.diameter import diameter_batch
 from ..index.virtual import VirtualBRTree
-from ..kernels import vectorized_enabled as _vectorized_enabled
 from ..observability.tracer import span as _trace_span
 from .objects import Dataset
 
@@ -130,7 +130,6 @@ class QueryContext:
             self.term_ids,
             query_terms=query.keywords,
             exclude=self.excluded_ids or None,
-            columns=_columns_of(dataset),
         )
         self.relevant_ids: List[int] = self.virtual_tree.object_ids
         self.coords: np.ndarray = self.virtual_tree.coords
@@ -243,9 +242,7 @@ class QueryContext:
         cached_bound, cached = self._cover_radii
         if bound <= cached_bound:
             return cached
-        columns = None
-        if _vectorized_enabled() and not self.excluded_ids:
-            columns = _columns_of(self.dataset)
+        columns = None if self.excluded_ids else self.dataset.columns
         # The KD tree compares squared distances strictly, so a radius
         # exactly at ``bound`` needs the slack `_disc_candidates` uses.
         reach = bound * (1.0 + 1e-9) + 1e-12
@@ -441,28 +438,7 @@ class QueryContext:
         """Diameter (Definition 1) of a set of O' rows."""
         if len(rows) < 2:
             return 0.0
-        pts = self.coords[np.asarray(rows, dtype=np.intp)]
-        if _vectorized_enabled():
-            from ..geometry.diameter import diameter_batch
-
-            return diameter_batch(pts)
-        best = 0.0
-        for i in range(len(pts)):
-            dx = pts[i + 1 :, 0] - pts[i, 0]
-            dy = pts[i + 1 :, 1] - pts[i, 1]
-            if len(dx):
-                cand = float(np.max(dx * dx + dy * dy))
-                if cand > best:
-                    best = cand
-        return best**0.5
-
-
-def _columns_of(dataset):
-    """The dataset's struct-of-arrays view, or None when unavailable."""
-    try:
-        return dataset.columns
-    except Exception:
-        return None
+        return diameter_batch(self.coords[np.asarray(rows, dtype=np.intp)])
 
 
 def compile_query(dataset: Dataset, query, exclude=None) -> QueryContext:
@@ -473,6 +449,9 @@ def compile_query(dataset: Dataset, query, exclude=None) -> QueryContext:
     """
     if not isinstance(query, MCKQuery):
         query = MCKQuery(query)
+    # A dataset still being built has no columns yet: raise its
+    # DatasetError here rather than judge the query against no objects.
+    dataset.columns
     unknown = [t for t in query.keywords if t not in dataset.vocabulary]
     if unknown:
         from ..exceptions import InfeasibleQueryError

@@ -18,8 +18,6 @@ from typing import List, Optional, Tuple
 
 from ..exceptions import GeometryError
 from ..geometry.circle import Circle, circle_from_three, circle_from_two
-from ..kernels import kernel_mode
-from ..kernels import vectorized_enabled as _vectorized_enabled
 from .common import QUALITY_APPROX, QUALITY_EXACT, Deadline
 from .gkg import gkg
 from .query import QueryContext
@@ -33,12 +31,10 @@ def skec(ctx: QueryContext, deadline: Optional[Deadline] = None) -> Group:
     deadline = deadline or Deadline.unlimited("SKEC")
     with deadline.span(
         "skec.plan",
-        kernel=kernel_mode(),
         m=ctx.m,
         poles=len(ctx.relevant_ids),
     ):
         pass
-    deadline.count("kernel_vectorized", 1.0 if _vectorized_enabled() else 0.0)
 
     with deadline.span("gkg.run"):
         greedy = gkg(ctx, deadline)
@@ -87,13 +83,10 @@ def find_oskec(
     if ctx.hopeless(current.diameter, pole_row):
         # The whole search space around this pole cannot cover the query.
         return current
-    if _vectorized_enabled():
-        # Each pole is probed once at the current best diameter; a bounded
-        # cache (bit-identical prefix of the full sort) skips the full
-        # O(n log n) per-pole build.
-        cache = ctx.pole_cache_bounded(pole_row, current.diameter)
-    else:
-        cache = ctx.pole_cache(pole_row)
+    # Each pole is probed once at the current best diameter; a bounded
+    # cache (bit-identical prefix of the full sort) skips the full
+    # O(n log n) per-pole build.
+    cache = ctx.pole_cache_bounded(pole_row, current.diameter)
     k = cache.prefix_length(current.diameter)
     if k == 0 or cache.prefix_union[k] != ctx.full_mask:
         return current

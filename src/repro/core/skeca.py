@@ -21,7 +21,6 @@ import numpy as np
 
 from ..geometry.circle import Circle
 from ..geometry.mcc import minimum_covering_circle
-from ..kernels import kernel_mode, vectorized_enabled
 from .circlescan import circle_scan
 from .common import QUALITY_APPROX, QUALITY_EXACT, Deadline
 from .gkg import gkg
@@ -58,13 +57,11 @@ def skeca(
     deadline = deadline or Deadline.unlimited("SKECa")
     with deadline.span(
         "skeca.plan",
-        kernel=kernel_mode(),
         m=ctx.m,
         epsilon=epsilon,
         poles=len(ctx.relevant_ids),
     ):
         pass
-    deadline.count("kernel_vectorized", 1.0 if vectorized_enabled() else 0.0)
     with deadline.span("gkg.run"):
         greedy = gkg(ctx, deadline)
 

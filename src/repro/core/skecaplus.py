@@ -23,7 +23,6 @@ import numpy as np
 
 from ..geometry.circle import Circle
 from ..geometry.mcc import minimum_covering_circle
-from ..kernels import kernel_mode, vectorized_enabled
 from .circlescan import first_cover
 from .common import QUALITY_APPROX, SQRT3_FACTOR, Deadline
 from .gkg import gkg
@@ -66,13 +65,11 @@ def skeca_plus_state(
     deadline = deadline or Deadline.unlimited("SKECa+")
     with deadline.span(
         "skecaplus.plan",
-        kernel=kernel_mode(),
         m=ctx.m,
         epsilon=epsilon,
         poles=len(ctx.relevant_ids),
     ):
         pass
-    deadline.count("kernel_vectorized", 1.0 if vectorized_enabled() else 0.0)
     with deadline.span("gkg.run"):
         greedy = gkg(ctx, deadline)
     n_relevant = len(ctx.relevant_ids)

@@ -23,7 +23,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["ColumnarStore", "RentOrBuy"]
+__all__ = ["ColumnarStore", "RentOrBuy", "mask_dtype"]
+
+
+def mask_dtype(bit_of_term: Dict[int, int]):
+    """Dtype of a query-local mask column: uint64 up to 64 keywords, else
+    object (Python ints of any width)."""
+    if any(bit > (1 << 63) for bit in bit_of_term.values()):
+        return object
+    return np.uint64
 
 
 class RentOrBuy:
@@ -276,20 +284,19 @@ class ColumnarStore(RentOrBuy):
 
     def query_masks(
         self, positions: np.ndarray, bit_of_term: Dict[int, int]
-    ) -> Optional[np.ndarray]:
-        """Query-local uint64 masks for the given rows, built batch-wise.
+    ) -> np.ndarray:
+        """Query-local masks for the given rows, built batch-wise.
 
         ``bit_of_term`` maps a global term id to its query-local bit value
         (``1 << i`` for query keyword ``i``); term ids outside the map
-        contribute nothing.  Returns ``None`` when a bit exceeds 64 bits —
-        the caller falls back to the arbitrary-width object path.
+        contribute nothing.  The column is uint64, or, when a bit exceeds
+        64 bits, an object column of Python ints.
         """
-        if any(bit > (1 << 63) for bit in bit_of_term.values()):
-            return None
+        dtype = mask_dtype(bit_of_term)
         k = len(positions)
         if k == 0:
-            return np.empty(0, dtype=np.uint64)
-        bitvals = np.zeros(int(self.term_ids.max(initial=-1)) + 2, dtype=np.uint64)
+            return np.empty(0, dtype=dtype)
+        bitvals = np.zeros(int(self.term_ids.max(initial=-1)) + 2, dtype=dtype)
         for tid, bit in bit_of_term.items():
             if tid < len(bitvals):
                 bitvals[tid] = bit
@@ -298,7 +305,7 @@ class ColumnarStore(RentOrBuy):
         offsets = np.concatenate(([0], np.cumsum(counts)))
         total = int(offsets[-1])
         if total == 0:
-            return np.zeros(k, dtype=np.uint64)
+            return np.zeros(k, dtype=dtype)
         flat = np.arange(total, dtype=np.int64) + np.repeat(
             starts - offsets[:-1], counts
         )
@@ -307,7 +314,7 @@ class ColumnarStore(RentOrBuy):
         # guard anyway for adversarial stores (empty segments would echo
         # the neighbour's value instead of 0).
         if counts.min(initial=1) == 0:
-            masks = np.zeros(k, dtype=np.uint64)
+            masks = np.zeros(k, dtype=dtype)
             nonempty = counts > 0
             if nonempty.any():
                 masks[nonempty] = np.bitwise_or.reduceat(

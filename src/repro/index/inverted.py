@@ -7,20 +7,17 @@ the set of objects containing at least one query keyword (paper §4).
 
 Posting lists are kept sorted by object id, which makes the set algebra
 columnar: the ``O'`` union and the all-terms intersection both run as
-sorted-array merges over contiguous int64 columns when the vectorized
-kernels are enabled (falling back to Python sets on the object path).
-Dense intersections can also route through a bitmap — one boolean column
-over the id space — which beats the k-way merge when the lists are large
-relative to the universe.
+sorted-array merges over contiguous int64 columns.  Dense intersections
+can also route through a bitmap — one boolean column over the id space —
+which beats the k-way merge when the lists are large relative to the
+universe.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
-
-from ..kernels import vectorized_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .columns import ColumnarStore
@@ -65,12 +62,7 @@ class InvertedIndex:
 
     def relevant_objects(self, term_ids: Sequence[int]) -> List[int]:
         """Sorted union of posting lists: the paper's ``O'`` for a query."""
-        if vectorized_enabled():
-            return self.posting_column(list(term_ids)).tolist()
-        merged_set: Set[int] = set()
-        for tid in term_ids:
-            merged_set.update(self.posting(tid))
-        return sorted(merged_set)
+        return self.posting_column(list(term_ids)).tolist()
 
     def objects_with_all_terms(self, term_ids: Sequence[int]) -> List[int]:
         """Sorted intersection of posting lists: objects holding every term.
@@ -83,20 +75,11 @@ class InvertedIndex:
         * **bitmap** — when the shortest list is dense in the id universe,
           one boolean column per remaining term, AND-ed in place.
 
-        Both produce the identical sorted id list; the object path uses
-        Python sets.
+        Both produce the identical sorted id list.
         """
         wanted = list(dict.fromkeys(term_ids))
         if not wanted:
             return []
-        if not vectorized_enabled():
-            acc: Optional[Set[int]] = None
-            for tid in wanted:
-                holders = set(self.posting(tid))
-                acc = holders if acc is None else (acc & holders)
-                if not acc:
-                    return []
-            return sorted(acc or ())
         cols = sorted(
             (self.posting_column(tid) for tid in wanted), key=len
         )

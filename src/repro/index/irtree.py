@@ -18,7 +18,6 @@ import heapq
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..kernels import vectorized_enabled
 from .mbr import point_min_dist
 from .rstar import (
     _BATCH_MIN_FANOUT,
@@ -124,7 +123,7 @@ class IRTree:
                 continue
             node: Node = element
             posting = self.posting(node, term)
-            if vectorized_enabled() and len(posting) >= _BATCH_MIN_FANOUT:
+            if len(posting) >= _BATCH_MIN_FANOUT:
                 # Posting lists are homogeneous (leaf entries under leaf
                 # nodes, child nodes otherwise), so one batched MinDist
                 # pass covers the whole frontier expansion.

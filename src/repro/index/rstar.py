@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import vectorized_enabled
 from .mbr import MBR, point_min_dist
 
 __all__ = ["RStarTree", "Node", "LeafEntry"]
@@ -512,7 +511,7 @@ class RStarTree:
             node: Node = element
             if prune is not None and prune(node):
                 continue
-            batched = vectorized_enabled() and len(node.entries) >= _BATCH_MIN_FANOUT
+            batched = len(node.entries) >= _BATCH_MIN_FANOUT
             if node.is_leaf:
                 if batched and predicate is None:
                     for de, e in zip(_leaf_frontier_dists(node.entries, x, y), node.entries):

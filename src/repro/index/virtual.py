@@ -13,12 +13,11 @@ just those objects, with keyword bitmaps remapped to query-local bits
 (bit ``i`` = query keyword ``i``), so coverage tests inside the algorithms
 are single mask comparisons.
 
-When the dataset exposes a :class:`~repro.index.columns.ColumnarStore`,
-``O'`` is materialised batch-wise — coordinate gathers plus one
-``bitwise_or.reduceat`` over the CSR keyword column — instead of the
-per-object Python loop; the tree itself is bulk-loaded lazily on first
-access, since the default algorithm paths never descend it (their range
-scans run on the packed coordinate array).
+``O'`` is materialised batch-wise from the store's
+:class:`~repro.index.columns.ColumnarStore` — coordinate gathers plus one
+``bitwise_or.reduceat`` over the CSR keyword column; the tree itself is
+bulk-loaded lazily on first access, since the default algorithm paths
+never descend it (their range scans run on the packed coordinate array).
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..exceptions import InfeasibleQueryError
-from ..kernels import vectorized_enabled
 from .brtree import BRStarTree
-from .columns import ColumnarStore
 
 __all__ = ["VirtualBRTree"]
 
@@ -62,7 +59,6 @@ class VirtualBRTree:
         coords: np.ndarray,
         masks: List[int],
         full_mask: int,
-        tree: Optional[BRStarTree] = None,
         masks_np: Optional[np.ndarray] = None,
         max_entries: int = 100,
     ):
@@ -71,7 +67,7 @@ class VirtualBRTree:
         self.masks = masks
         self.full_mask = full_mask
         self.masks_np = masks_np
-        self._tree = tree
+        self._tree: Optional[BRStarTree] = None
         self._max_entries = max_entries
 
     @property
@@ -100,16 +96,14 @@ class VirtualBRTree:
         max_entries: int = 100,
         query_terms: Optional[Sequence[str]] = None,
         exclude: Optional[frozenset] = None,
-        columns: Optional[ColumnarStore] = None,
     ) -> "VirtualBRTree":
         """Assemble the virtual tree for one query.
 
         Parameters
         ----------
         source:
-            The dataset-shaped store: its ``inverted`` file, and — on the
-            object path only — its ``locations[oid] -> (x, y)`` and
-            ``term_ids[oid] -> global term ids`` adapters.
+            The dataset-shaped store: its ``inverted`` file and its
+            struct-of-arrays ``columns``, from which O' is gathered.
         query_term_ids:
             Global term ids of the m query keywords, in query order.
         query_terms:
@@ -117,10 +111,6 @@ class VirtualBRTree:
         exclude:
             Object ids to drop from O' (used by the top-k extension to
             forbid already-returned groups' members).
-        columns:
-            Optional struct-of-arrays store backing the same objects; when
-            provided (and the columnar kernels are enabled) O' is
-            materialised batch-wise.
 
         Raises
         ------
@@ -146,36 +136,13 @@ class VirtualBRTree:
             object_ids = [oid for oid in object_ids if oid not in exclude]
         full_mask = (1 << len(query_term_ids)) - 1
 
-        masks_np = tree = None
-        if columns is not None and vectorized_enabled():
-            positions = columns.positions_of(object_ids)
-            masks_np = columns.query_masks(positions, local_bit)
-        if masks_np is not None:
-            coords = columns.coords_of(positions)
-            masks = masks_np.tolist()
-        else:
-            locations, object_term_ids = source.locations, source.term_ids
-            coords = np.empty((len(object_ids), 2), dtype=np.float64)
-            masks: List[int] = []
-            for row, oid in enumerate(object_ids):
-                x, y = locations[oid]
-                coords[row, 0] = x
-                coords[row, 1] = y
-                mask = 0
-                for tid in object_term_ids[oid]:
-                    bit = local_bit.get(tid)
-                    if bit is not None:
-                        mask |= bit
-                masks.append(mask)
-            if not vectorized_enabled():
-                # The original object path bulk-loaded the tree on every
-                # compile; reproduce that so the perf gate's object-path
-                # baseline reflects the pre-columnar cost honestly.
-                records = (
-                    (oid, coords[row, 0], coords[row, 1], masks[row])
-                    for row, oid in enumerate(object_ids)
-                )
-                tree = BRStarTree.build(records, max_entries=max_entries)
+        columns = source.columns
+        positions = columns.positions_of(object_ids)
+        coords = columns.coords_of(positions)
+        mask_column = columns.query_masks(positions, local_bit)
+        masks: List[int] = mask_column.tolist()
+        # Past 64 keywords the masks are Python ints in an object column.
+        masks_np = mask_column if mask_column.dtype == np.uint64 else None
 
         if exclude:
             covered = 0
@@ -192,7 +159,6 @@ class VirtualBRTree:
             coords,
             masks,
             full_mask,
-            tree=tree,
             masks_np=masks_np,
             max_entries=max_entries,
         )

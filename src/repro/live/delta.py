@@ -60,7 +60,7 @@ import numpy as np
 from ..core.objects import Dataset, GeoObject, first_occurrence_terms
 from ..exceptions import DatasetError
 from ..index.bitmap import mask_of
-from ..index.columns import ColumnarStore, RentOrBuy
+from ..index.columns import ColumnarStore, RentOrBuy, mask_dtype
 from ..index.rstar import LeafEntry
 
 __all__ = [
@@ -486,15 +486,11 @@ class OverlayColumns(RentOrBuy):
 
     def query_masks(
         self, positions: np.ndarray, bit_of_term: Dict[int, int]
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         in_base, base_rows, add_rows = self._split(positions)
-        base_masks = self.base.query_masks(base_rows, bit_of_term)
-        add_masks = self.adds.query_masks(add_rows, bit_of_term)
-        if base_masks is None or add_masks is None:
-            return None
-        out = np.empty(len(positions), dtype=np.uint64)
-        out[in_base] = base_masks
-        out[~in_base] = add_masks
+        out = np.empty(len(positions), dtype=mask_dtype(bit_of_term))
+        out[in_base] = self.base.query_masks(base_rows, bit_of_term)
+        out[~in_base] = self.adds.query_masks(add_rows, bit_of_term)
         return out
 
     def _holder_and_row_coords(self, term_id: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -522,10 +518,10 @@ class LiveView:
 
     Duck-types the slice of :class:`~repro.core.objects.Dataset` the query
     compiler, the algorithms, and :meth:`~repro.core.result.Group.objects`
-    consume — vocabulary, inverted file, ``locations[oid]`` /
-    ``term_ids[oid]`` adapters, item access.  Object ids are the store's
-    stable live oids (sparse after deletes), which is why the adapters are
-    mapping-backed instead of packed arrays.
+    consume — vocabulary, inverted file, ``columns``, the
+    ``locations[oid]`` / ``term_ids[oid]`` adapters, item access.  Object
+    ids are the store's stable live oids (sparse after deletes), which is
+    why the adapters are mapping-backed instead of packed arrays.
     """
 
     def __init__(self, base: Dataset, delta: DeltaOverlay, name: str = "live"):

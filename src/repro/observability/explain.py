@@ -1,7 +1,7 @@
 """Per-query EXPLAIN: one request's plan and fate, assembled post-hoc.
 
 An EXPLAIN report answers, for a single query, the questions the
-aggregate dashboards cannot: which algorithm and kernel mode ran, did
+aggregate dashboards cannot: which algorithm ran, did
 the cache probe hit (and against which keyword-generation stamp), how
 long did admission hold the request and under what limiter state, how
 hard did the pruning work (``candidate_circles`` / ``pruned_poles``),
@@ -40,7 +40,7 @@ _KEY_COUNTERS = (
 #: Counters that are really metadata, not work (excluded from the
 #: counters table; surfaced in their own fields).
 _META_COUNTERS = frozenset(
-    {"epoch", "delta_size", "kernel_vectorized", "degraded", "alpha"}
+    {"epoch", "delta_size", "degraded", "alpha"}
 )
 
 
@@ -88,7 +88,6 @@ def build_explain(
 
     cache = _cache_section(spans, cache_hit)
     admission = _admission_section(spans)
-    kernel_mode = _kernel_mode(spans, counters)
     epoch = counters.get("epoch")
     delta_size = counters.get("delta_size")
 
@@ -122,7 +121,6 @@ def build_explain(
         },
         "execution": {
             "engine": engine_kind,
-            "kernel_mode": kernel_mode,
             "cache": cache,
             "admission": admission,
             "epoch": int(epoch) if epoch is not None else None,
@@ -255,19 +253,6 @@ def _admission_section(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
-def _kernel_mode(
-    spans: List[Dict[str, Any]], counters: Dict[str, float]
-) -> str:
-    for sp in spans:
-        kernel = sp.get("attributes", {}).get("kernel")
-        if kernel:
-            return str(kernel)
-    flag = counters.get("kernel_vectorized")
-    if flag is not None:
-        return "vectorized" if flag else "scalar"
-    return "unknown"
-
-
 def _first_span(
     spans: List[Dict[str, Any]], name: str
 ) -> Optional[Dict[str, Any]]:
@@ -322,7 +307,7 @@ def render_explain(report: Dict[str, Any]) -> str:
         if x["delta_size"] is not None:
             engine_text += f", delta {x['delta_size']}"
         engine_text += ")"
-    lines.append(f"engine     : {engine_text}  kernel={x['kernel_mode']}")
+    lines.append(f"engine     : {engine_text}")
     cache = x["cache"]
     cache_text = cache["outcome"]
     if cache["stamp"] is not None:
@@ -390,8 +375,6 @@ def _render_node(
     pid = node.get("pid")
     attrs = node.get("attributes", {})
     suffix = ""
-    if attrs.get("kernel"):
-        suffix += f"  kernel={attrs['kernel']}"
     if attrs.get("error"):
         suffix += f"  error={attrs['error']}"
     lines.append(f"{label:<44s} {node['duration_ms']:9.2f} ms{suffix}")

@@ -26,7 +26,6 @@ from repro.core.engine import _RUNNERS
 from repro.core.query import compile_query
 from repro.core.skeca import DEFAULT_EPSILON
 from repro.core.skecaplus import skeca_plus
-from repro.kernels import scalar_kernels
 from repro.live import LiveMCKEngine
 
 ALGORITHMS = ("GKG", "SKEC", "SKECa", "SKECa+", "EXACT")
@@ -100,10 +99,12 @@ def test_exact_radii_after_a_bounded_search():
 def test_a_narrower_pass_never_replaces_a_wider_one():
     """Two passes over one context interleave, as two threads' may: the
     narrower one finishing last must leave the wider array cached."""
-    dataset = Dataset.from_records(_records(), name="reuse")
-    want = compile_query(dataset, QUERY).cover_radii
+    want = compile_query(Dataset.from_records(_records()), QUERY).cover_radii
     bound = float(np.median(want))
+    # A fresh store, so the pass rents: it asks for holder trees.
+    dataset = Dataset.from_records(_records(), name="reuse")
     ctx = compile_query(dataset, QUERY)
+    assert not any(tid in dataset.columns._term_nn for tid in ctx.term_ids)
     real_tree = ctx.keyword_tree
     wide = []
 
@@ -114,8 +115,7 @@ def test_a_narrower_pass_never_replaces_a_wider_one():
         return real_tree(bit_pos)
 
     ctx.keyword_tree = interleaved
-    with scalar_kernels():  # the rent path, which asks for holder trees
-        narrow = ctx.cover_radii_within(bound)
+    narrow = ctx.cover_radii_within(bound)
     assert len(wide) == 1 and np.array_equal(wide[0], want)
     assert np.array_equal(narrow[want <= bound], want[want <= bound])
     assert np.isposinf(narrow[want > bound]).all()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.objects import Dataset
 from repro.core.query import MCKQuery, compile_query
-from repro.exceptions import InfeasibleQueryError, QueryError
+from repro.exceptions import DatasetError, InfeasibleQueryError, QueryError
 
 
 @pytest.fixture
@@ -69,6 +69,23 @@ class TestCompileQuery:
     def test_accepts_query_object(self, ds):
         ctx = compile_query(ds, MCKQuery(["a", "c"]))
         assert ctx.m == 2
+
+    def test_unfinalized_dataset_is_an_error_not_infeasible(self):
+        dataset = Dataset()
+        dataset.add(1, 2, ["a"])
+        with pytest.raises(DatasetError, match="not finalized"):
+            compile_query(dataset, ["a"])
+        dataset.finalize()
+        assert compile_query(dataset, ["a"]).relevant_ids == [0]
+
+    def test_masks_past_64_keywords(self):
+        vocab = [f"w{i}" for i in range(70)]
+        records = [(float(i), 0.0, vocab[i : i + 3]) for i in range(68)]
+        ctx = compile_query(Dataset.from_records(records), vocab)
+        assert ctx.virtual_tree.masks_np is None
+        for row, oid in enumerate(ctx.relevant_ids):
+            want = sum(1 << vocab.index(t) for t in records[oid][2])
+            assert ctx.masks[row] == want and type(ctx.masks[row]) is int
 
 
 class TestContextHelpers:

@@ -14,7 +14,6 @@ import pytest
 from repro import Dataset, MCKEngine
 from repro.core.query import compile_query
 from repro.index.columns import ColumnarStore
-from repro.kernels import scalar_kernels
 from tests.conftest import brute_radii
 
 
@@ -66,10 +65,11 @@ class TestRentOrBuy:
         assert tid in store._term_nn
 
     def test_radii_identical_across_the_switch(self, dataset):
+        """The switch from renting holder trees to the bought column."""
         store = _fresh_store(dataset)
-        with scalar_kernels():
-            reference = compile_query(dataset, QUERY).cover_radii
         ctx = compile_query(dataset, QUERY)
+        reference = ctx.cover_radii
+        assert store._term_nn == {}  # the first use rents
         want = brute_radii(_records(dataset), QUERY, ctx.relevant_ids)
         assert np.allclose(reference, want, rtol=1e-12, atol=0.0)
         bought_at = None

@@ -17,7 +17,7 @@ def make_spans():
         with tracer.span("serve.queue"):
             pass
         with tracer.span("serve.execute"):
-            with tracer.span("engine.algorithm", kernel="scalar"):
+            with tracer.span("engine.algorithm"):
                 pass
     return tracer.finished_spans(), root.trace_id
 
@@ -29,7 +29,9 @@ class TestBuildExplain:
         )
         assert report["query"]["m"] == 2
         assert report["outcome"]["status"] == "ok"
-        assert report["execution"]["kernel_mode"] == "unknown"
+        assert set(report["execution"]) == {
+            "engine", "cache", "admission", "epoch", "delta_size"
+        }
         assert report["span_count"] == 0
         assert report["tree"] == []
 
@@ -51,26 +53,6 @@ class TestBuildExplain:
             phases["serve.request"]["self_seconds"]
             <= phases["serve.request"]["total_seconds"]
         )
-
-    def test_kernel_mode_from_span_attribute_wins(self):
-        spans, _tid = make_spans()
-        report = build_explain(
-            keywords=("a",),
-            algorithm="GKG",
-            epsilon=0.01,
-            spans=spans,
-            counters={"kernel_vectorized": 1.0},
-        )
-        assert report["execution"]["kernel_mode"] == "scalar"
-
-    def test_kernel_mode_falls_back_to_counter(self):
-        report = build_explain(
-            keywords=("a",),
-            algorithm="GKG",
-            epsilon=0.01,
-            counters={"kernel_vectorized": 1.0},
-        )
-        assert report["execution"]["kernel_mode"] == "vectorized"
 
     def test_orphan_spans_become_roots(self):
         spans = [

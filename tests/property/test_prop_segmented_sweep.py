@@ -4,8 +4,13 @@ Points sit on a small integer grid, so coincident points, tied angles,
 rows exactly at distance D and enter events at angle exactly 0 (a row at
 distance D straight to the right of its pole) are all common.  The wide
 variant queries more than 64 keywords, past the uint64 mask fast paths.
+
+The reference is the original per-event Python walk of one pole over its
+whole (unbounded) sweeping area, kept here as the oracle for event-level
+rows and theta.
 """
 
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 
 import repro.core.circlescan as circlescan
 from repro.core.circlescan import (
+    _maximal_sets,
     circle_scan,
     circle_scan_candidates,
     first_cover,
@@ -25,7 +31,6 @@ from repro.core.query import compile_query
 from repro.core.skeca import DEFAULT_EPSILON, _single_object_answer, find_app_oskec
 from repro.core.skecaplus import skeca_plus_state
 from repro.geometry.mcc import minimum_covering_circle
-from repro.kernels import scalar_kernels
 from repro.testing import faults
 
 NARROW = ["a", "b", "c", "d"]
@@ -77,13 +82,158 @@ def sweep_case(draw):
     return ctx, poles, diameter, budget
 
 
+_TWO_PI = 2.0 * math.pi
+
+
+def _reference_view(ctx, pole_row, diameter):
+    """The pole's sweeping area ``(rows, dists)`` from the unbounded pole
+    cache, or None when even the whole area cannot cover the query."""
+    if ctx.hopeless(diameter, pole_row):
+        return None
+    cache = ctx.pole_cache(pole_row)
+    k = cache.prefix_length(diameter)
+    if k == 0 or cache.prefix_union[k] != ctx.full_mask:
+        return None
+    return cache.rows[:k], cache.dists[:k]
+
+
+def _reference_events(ctx, pole_row, view, diameter):
+    """Per-probe event construction: ``(inside_rows, angles, kinds,
+    event_rows)`` sorted by angle with enters (kind 1) before exits (kind
+    0) on ties.  It recomputes ``arctan2`` and keeps enter events at angle
+    0 (the walk's in-set guard makes them no-ops).
+    """
+    rows, dists = view
+    pole = ctx.coords[pole_row]
+
+    moving = dists > max(1e-12, 1e-15 * diameter)
+    always_rows = rows[~moving]
+    mrows = rows[moving]
+    if len(mrows) == 0:
+        return [int(r) for r in always_rows], [], [], []
+
+    pts = ctx.coords[mrows]
+    delta_x = pts[:, 0] - pole[0]
+    delta_y = pts[:, 1] - pole[1]
+    ratio = np.minimum(dists[moving] / diameter, 1.0)
+    beta = np.arccos(ratio)
+    phi = np.arctan2(delta_y, delta_x)
+    enter = np.mod(phi - beta, _TWO_PI)
+    exit_ = np.mod(phi + beta, _TWO_PI)
+
+    wraps = (enter > exit_) | (enter == 0.0)
+    inside_rows = [int(r) for r in always_rows]
+    inside_rows.extend(int(r) for r in mrows[wraps])
+
+    angles = np.concatenate([enter, exit_])
+    kinds = np.concatenate(
+        [np.ones(len(mrows), dtype=np.int8), np.zeros(len(mrows), dtype=np.int8)]
+    )
+    event_rows = np.concatenate([mrows, mrows])
+    order = np.lexsort((-kinds, angles))
+    return inside_rows, angles[order], kinds[order], event_rows[order]
+
+
+def _add_mask(mask, counts, covered):
+    while mask:
+        low = mask & -mask
+        bit_pos = low.bit_length() - 1
+        counts[bit_pos] += 1
+        if counts[bit_pos] == 1:
+            covered |= low
+        mask ^= low
+    return covered
+
+
+def _remove_mask(mask, counts, covered):
+    while mask:
+        low = mask & -mask
+        bit_pos = low.bit_length() - 1
+        counts[bit_pos] -= 1
+        if counts[bit_pos] == 0:
+            covered &= ~low
+        mask ^= low
+    return covered
+
+
+def _reference_circle_scan(ctx, pole_row, diameter):
+    """The per-event walk around one pole: ``(rows, theta)`` of the first
+    covering position, or None."""
+    view = _reference_view(ctx, pole_row, diameter)
+    if view is None:
+        return None
+    inside_rows, angles, kinds, event_rows = _reference_events(
+        ctx, pole_row, view, diameter
+    )
+    masks = ctx.masks
+    full = ctx.full_mask
+    counts = [0] * full.bit_length()
+    covered = 0
+    inside = set(inside_rows)
+    for r in inside:
+        covered = _add_mask(masks[r], counts, covered)
+    if covered == full:
+        return sorted(inside), 0.0
+
+    for i in range(len(angles)):
+        r = int(event_rows[i])
+        if kinds[i]:  # enter
+            if r in inside:
+                continue
+            inside.add(r)
+            covered = _add_mask(masks[r], counts, covered)
+            if covered == full:
+                return sorted(inside), float(angles[i])
+        else:  # exit
+            if r not in inside:
+                continue
+            inside.discard(r)
+            covered = _remove_mask(masks[r], counts, covered)
+    return None
+
+
+def _reference_candidates(ctx, pole_row, diameter):
+    """The full-rotation walk around one pole: its maximal covering sets."""
+    view = _reference_view(ctx, pole_row, diameter)
+    if view is None:
+        return []
+    inside_rows, angles, kinds, event_rows = _reference_events(
+        ctx, pole_row, view, diameter
+    )
+    masks = ctx.masks
+    full = ctx.full_mask
+    counts = [0] * full.bit_length()
+    covered = 0
+    inside = set(inside_rows)
+    for r in inside:
+        covered = _add_mask(masks[r], counts, covered)
+
+    snapshots = set()
+    if covered == full:
+        snapshots.add(frozenset(inside))
+    for i in range(len(angles)):
+        r = int(event_rows[i])
+        if kinds[i]:
+            if r in inside:
+                continue
+            inside.add(r)
+            covered = _add_mask(masks[r], counts, covered)
+        else:
+            if r not in inside:
+                continue
+            inside.discard(r)
+            covered = _remove_mask(masks[r], counts, covered)
+        if covered == full:
+            snapshots.add(frozenset(inside))
+    return _maximal_sets(snapshots)
+
+
 def _reference_first_hit(ctx, poles, diameter):
-    """The per-pole loop on the object path: sweep each pole, stop at a hit."""
-    with scalar_kernels():
-        for index, pole in enumerate(poles):
-            hit = circle_scan(ctx, pole, diameter)
-            if hit is not None:
-                return index, hit
+    """The per-pole loop: walk each pole, stop at a hit."""
+    for index, pole in enumerate(poles):
+        hit = _reference_circle_scan(ctx, pole, diameter)
+        if hit is not None:
+            return index, hit
     return len(poles), None
 
 
@@ -117,8 +267,7 @@ class TestSegmentedSweep:
         assert [pole for pole, _ in batched] == list(poles)
         for pole, cands in batched:
             assert cands == circle_scan_candidates(ctx, pole, diameter)
-            with scalar_kernels():
-                assert cands == circle_scan_candidates(ctx, pole, diameter)
+            assert cands == _reference_candidates(ctx, pole, diameter)
 
 
 def test_each_segment_starts_from_its_own_counts():
