@@ -106,6 +106,23 @@ def check_wire_basics():
         if abs(body["diameter"] - direct.diameter) > 1e-9:
             fail("wire diameter diverges from inline answer")
 
+        # The repeat is a cache hit: answered on the loop thread, it never
+        # enters admission control.
+        before = service.admission_dict()
+        status, again, _ = call(
+            handle, "POST", "/query",
+            {"keywords": QUERY, "algorithm": "EXACT"},
+        )
+        after = service.admission_dict()
+        if status != 200 or not again["cache_hit"]:
+            fail(f"repeated query was not a cache hit: {status} {again}")
+        if again["object_ids"] != body["object_ids"]:
+            fail("cache hit answer differs from the first answer")
+        if (after["submitted"], after["inline_hits"]) != (
+            before["submitted"], before["inline_hits"] + 1
+        ):
+            fail(f"cache hit went through admission: {before} -> {after}")
+
         status, body, _ = call(
             handle, "GET", "/topk?keywords=shrine,shop&k=2&algorithm=EXACT"
         )
@@ -223,9 +240,14 @@ def check_overload():
         status, body, _ = call(handle, "POST", "/query", {"keywords": QUERY})
         if status != 200:
             fail(f"service did not recover after the burst: {status}")
-        counters = service.admission.counters()
+        counters = service.admission_dict()
         if counters["submitted"] != counters["accepted"] + counters["rejected"]:
             fail(f"conservation violated after burst: {counters}")
+        # Every request was admitted or served inline as a cache hit: the
+        # parked tasks, the 10 rejected queries and the recovery query.
+        requests = len(parked) + rejected + 1
+        if counters["submitted"] + counters["inline_hits"] != requests:
+            fail(f"{requests} requests but admission saw {counters}")
     finally:
         handle.stop()
     print(

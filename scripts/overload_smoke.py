@@ -61,11 +61,20 @@ def percentile(samples, q):
     return ordered[index]
 
 
-def assert_conserved(snapshot):
+def assert_conserved(snapshot, requests=None):
+    """Admission's counters balance; with ``requests`` (a service's
+    snapshot), every request was admitted or served inline as a hit."""
     if snapshot["submitted"] != snapshot["accepted"] + snapshot["rejected"]:
         fail(f"conservation broken: submitted != accepted + rejected: {snapshot}")
     if snapshot["accepted"] != snapshot["completed"] + snapshot["failed"]:
         fail(f"conservation broken: accepted != completed + failed: {snapshot}")
+    if requests is not None and (
+        snapshot["submitted"] + snapshot["inline_hits"] != requests
+    ):
+        fail(
+            f"conservation broken: submitted + inline_hits != {requests} "
+            f"requests: {snapshot}"
+        )
 
 
 class FakeClock:
@@ -310,7 +319,7 @@ def check_cli(tmp):
         fail("admission capacity not recorded in the workload summary")
     if workload["rejected"] < 1:
         fail("open-loop overload at capacity 4 rejected nothing")
-    assert_conserved(dump["admission"])
+    assert_conserved(dump["admission"], requests=workload["requests_total"])
     prom = Path(prom_path).read_text()
     for family in (
         "mck_admission_rejected_total",

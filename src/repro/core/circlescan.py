@@ -53,7 +53,6 @@ __all__ = [
     "first_cover",
     "sweep_batches",
     "SweepBatch",
-    "sweeping_area",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -64,15 +63,6 @@ _TWO_PI = 2.0 * math.pi
 ROW_BUDGET = 4096
 
 Hit = Tuple[List[int], float]
-
-
-def sweeping_area(ctx: QueryContext, pole_row: int, diameter: float) -> np.ndarray:
-    """Rows of O' within (closed) distance ``diameter`` of the pole.
-
-    This is the paper's Figure-4 sweeping area: any object enclosed by some
-    rotation position lies within ``D`` of the pole.
-    """
-    return ctx.pole_cache(pole_row).rows_within(diameter)
 
 
 def _sweep_view(ctx: QueryContext, pole_row: int, diameter: float):

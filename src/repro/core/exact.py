@@ -183,15 +183,22 @@ def branch_and_bound_search(
     if not rows:
         return best_rows, best_diameter
 
-    # Local distance matrix over pole + candidates.
+    # Distances over pole + candidates, one row per index, computed when
+    # the search first selects it: it reads only ``dist[s]`` for selected
+    # ``s``, so a dense n x n matrix is mostly waste on a large circle.
+    # Each element is the dense matrix's subtraction and ``hypot``.
     local = [pole_row] + list(rows)
     pts = ctx.coords[np.asarray(local, dtype=np.intp)]
-    delta = pts[:, None, :] - pts[None, :, :]
-    dist = np.hypot(delta[:, :, 0], delta[:, :, 1])
+    xs, ys = pts[:, 0], pts[:, 1]
+
+    def distance_row(i: int) -> List[float]:
+        return np.hypot(xs[i] - xs, ys[i] - ys).tolist()
 
     masks = [ctx.masks[r] for r in local]
     full = ctx.full_mask
     n = len(local)
+    dist: List[Optional[List[float]]] = [None] * n
+    dist[0] = distance_row(0)
 
     # Suffix union masks: what keywords the candidates from index i onward
     # can still contribute (Pruning Strategy 3 in O(1) per check).
@@ -229,7 +236,7 @@ def branch_and_bound_search(
             new_diameter = diameter
             too_far = False
             for s in selected:
-                d = dist[s, idx]
+                d = dist[s][idx]
                 if d >= best["diameter"]:
                     too_far = True
                     break
@@ -241,6 +248,8 @@ def branch_and_bound_search(
                 # Even taking idx, the tail cannot cover the rest; since
                 # suffix masks shrink with idx, later candidates fail too.
                 break
+            if dist[idx] is None:
+                dist[idx] = distance_row(idx)
             selected.append(idx)
             recurse(selected, covered | mask, new_diameter, idx + 1)
             selected.pop()

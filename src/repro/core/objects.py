@@ -137,8 +137,8 @@ class Dataset:
     then share its inverted file, vocabulary and indexes.
 
     The columns are the truth; :class:`GeoObject` rows and the
-    ``locations[oid]`` / ``term_ids[oid]`` adapters are derived on demand
-    for public accessors and the dataset-wide bR*-tree.  A dataset pickles as its
+    ``term_ids[oid]`` adapter are derived on demand for public accessors
+    and the dataset-wide bR*-tree.  A dataset pickles as its
     columns and terms only.
     """
 
@@ -336,14 +336,6 @@ class Dataset:
             )
 
         return self._cached("term_ids", build)
-
-    @property
-    def locations(self):
-        """``oid -> (x, y)`` (built on first use)."""
-        s = self.columns
-        return self._cached(
-            "locations", lambda: self._by_oid(list(zip(s.xs.tolist(), s.ys.tolist())))
-        )
 
     def brtree(self) -> BRStarTree:
         """The dataset-wide bR*-tree over global keyword masks (built once)."""

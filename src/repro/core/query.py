@@ -54,15 +54,15 @@ class PoleCache:
         rows: np.ndarray,
         prefix_union: np.ndarray,
         phis: np.ndarray,
-        radius_bound: float = float("inf"),
+        radius_bound: float,
     ):
         self.dists = dists
         self.rows = rows
         self.prefix_union = prefix_union
         self.phis = phis
-        #: Largest query radius this cache fully covers; a *bounded* cache
-        #: (columnar path) holds only the rows within this distance — a
-        #: bit-identical prefix of the full distance sort.
+        #: Largest query radius this cache fully covers: it holds only the
+        #: rows within this distance — a bit-identical prefix of the full
+        #: distance sort.
         self.radius_bound = radius_bound
 
     def prefix_length(self, radius: float) -> int:
@@ -339,25 +339,6 @@ class QueryContext:
             self._ir_tree = IRTree.build(records)
         return self._ir_tree
 
-    def pole_cache(self, row: int) -> PoleCache:
-        """Distance-sorted O' view around one pole (LRU-cached)."""
-        cache = self._pole_caches.get(row)
-        if cache is not None and math.isinf(cache.radius_bound):
-            self._pole_caches.move_to_end(row)
-            return cache
-        with _trace_span("index.pole_cache_build", pole=row):
-            delta = self.coords - self.coords[row]
-            dists = np.hypot(delta[:, 0], delta[:, 1])
-            order = np.argsort(dists, kind="stable")
-            sorted_dists = dists[order]
-            phis = np.arctan2(delta[order, 1], delta[order, 0])
-            prefix_union = self._prefix_union(order)
-            cache = PoleCache(sorted_dists, order.astype(np.intp), prefix_union, phis)
-        self._pole_caches[row] = cache
-        while len(self._pole_caches) > self._pole_cache_limit:
-            self._pole_caches.popitem(last=False)
-        return cache
-
     def _prefix_union(self, rows: np.ndarray) -> np.ndarray:
         """Keyword union of each prefix of ``rows``, led by the empty union.
 
@@ -396,11 +377,11 @@ class QueryContext:
         """A :class:`PoleCache` covering queries up to ``radius`` (LRU-cached).
 
         Selects the rows within ``radius`` with one vectorised ``hypot``
-        pass and sorts only those — O(n + k log k) against the full
-        cache's O(n log n), a large win because sweeping areas are tiny
+        pass and sorts only those — O(n + k log k) against sorting all of
+        O' in O(n log n), a large win because sweeping areas are tiny
         compared to O'.  The result is a bit-identical prefix of the full
         stable distance sort (ties break by row index in both), so any
-        probe at ``diameter <= radius`` sees exactly the full cache's
+        probe at ``diameter <= radius`` sees exactly the full sort's
         view.  The cache is built at least :attr:`probe_radius` wide; one
         that a probe outgrows is rebuilt with doubled headroom.
         """
@@ -426,9 +407,7 @@ class QueryContext:
             rows = sel[order]
             phis = np.arctan2(dy[keep][order], dx[keep][order])
             prefix_union = self._prefix_union(rows)
-            cache = PoleCache(
-                dsel[order], rows, prefix_union, phis, radius_bound=radius
-            )
+            cache = PoleCache(dsel[order], rows, prefix_union, phis, radius)
         self._pole_caches[row] = cache
         while len(self._pole_caches) > self._pole_cache_limit:
             self._pole_caches.popitem(last=False)

@@ -518,10 +518,9 @@ class LiveView:
 
     Duck-types the slice of :class:`~repro.core.objects.Dataset` the query
     compiler, the algorithms, and :meth:`~repro.core.result.Group.objects`
-    consume — vocabulary, inverted file, ``columns``, the
-    ``locations[oid]`` / ``term_ids[oid]`` adapters, item access.  Object
-    ids are the store's stable live oids (sparse after deletes), which is
-    why the adapters are mapping-backed instead of packed arrays.
+    consume — vocabulary, inverted file, ``columns``, ``location_of`` /
+    ``term_ids_of``, item access.  Object ids are the store's stable live
+    oids (sparse after deletes).
     """
 
     def __init__(self, base: Dataset, delta: DeltaOverlay, name: str = "live"):
@@ -592,14 +591,6 @@ class LiveView:
             obj = self.delta.adds[oid]
             return tuple(sorted(self.vocabulary.id_of(t) for t in obj.keywords))
         return self.base.term_ids_of(oid)
-
-    @property
-    def term_ids(self) -> "_ViewTermIds":
-        return _ViewTermIds(self)
-
-    @property
-    def locations(self) -> "_ViewLocations":
-        return _ViewLocations(self)
 
     def global_mask_of(self, oid: int) -> int:
         """Whole-vocabulary (overlay id space) keyword mask of an object."""
@@ -826,29 +817,6 @@ class HolderScan(NamedTuple):
             np.logical_or.reduce([s.anchors_live for s in scans]),
             max(s.epoch for s in scans),
         )
-
-
-class _ViewTermIds:
-    __slots__ = ("_view",)
-
-    def __init__(self, view: LiveView):
-        self._view = view
-
-    def __getitem__(self, oid: int) -> Tuple[int, ...]:
-        return self._view.term_ids_of(oid)
-
-
-class _ViewLocations:
-    __slots__ = ("_view",)
-
-    def __init__(self, view: LiveView):
-        self._view = view
-
-    def __getitem__(self, oid: int) -> Tuple[float, float]:
-        return self._view.location_of(oid)
-
-    def __len__(self) -> int:
-        return len(self._view)
 
 
 class LiveIndex:

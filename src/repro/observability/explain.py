@@ -325,7 +325,11 @@ def render_explain(report: Dict[str, Any]) -> str:
         adm_bits.append(f"limit={adm['concurrency_limit']}")
     if adm["rejected_reason"]:
         adm_bits.append(f"rejected={adm['rejected_reason']}")
-    lines.append(f"admission  : {'  '.join(adm_bits) if adm_bits else '(untracked)'}")
+    if not adm_bits:
+        # A cache hit is answered before admission; nothing queued it.
+        hit = cache["outcome"] == "hit"
+        adm_bits.append("bypassed (cache hit)" if hit else "(untracked)")
+    lines.append(f"admission  : {'  '.join(adm_bits)}")
     timing_bits = []
     for label, key in (
         ("total", "total_seconds"),

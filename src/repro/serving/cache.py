@@ -112,7 +112,7 @@ from typing import (
 import numpy as np
 
 from ..core.common import QUALITY_APPROX, QUALITY_EXACT, QUALITY_GREEDY
-from ..core.engine import canonical_algorithm
+from ..core.engine import ALGORITHMS, canonical_algorithm
 from ..geometry.mcc import minimum_covering_circle
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,10 +135,14 @@ CERTIFIED = frozenset({QUALITY_EXACT, QUALITY_APPROX, QUALITY_GREEDY})
 def make_cache_key(
     keywords: Iterable[str], algorithm: str, epsilon: float
 ) -> CacheKey:
-    """Build the canonical cache key for one query configuration."""
+    """Build the canonical cache key for one query configuration.
+
+    A name that is already canonical is used as is, so a caller that
+    canonicalised the algorithm once does not pay for it again.
+    """
     return (
         frozenset(str(k) for k in keywords),
-        canonical_algorithm(algorithm),
+        algorithm if algorithm in ALGORITHMS else canonical_algorithm(algorithm),
         float(epsilon),
     )
 

@@ -13,6 +13,9 @@ answers *streams* of queries instead of one call at a time:
 * identical in-flight queries are coalesced (single-flight) and finished
   answers are kept in an LRU+TTL :class:`~repro.serving.cache.ResultCache`
   keyed by ``(frozenset(keywords), algorithm, epsilon)``;
+* every request probes that cache once, on the submitting thread: a hit
+  is answered there with an already-resolved future, and only misses
+  enter admission control and the worker threads;
 * every answer carries a :class:`~repro.serving.stats.QueryStats` record
   and feeds a :class:`~repro.serving.stats.MetricsRegistry`.
 
@@ -21,7 +24,8 @@ process-pool workers and structured log events), and when a
 :class:`~repro.observability.tracer.Tracer` is attached — explicitly via
 the ``tracer`` parameter or globally via
 :func:`repro.observability.tracer.set_tracer` — each request emits a
-``serve.request`` root span with ``serve.queue`` / ``serve.cache_probe`` /
+``serve.request`` root span with a ``serve.cache_probe`` child; an
+admitted miss adds ``serve.queue`` / ``serve.admission`` /
 ``serve.execute`` / ``serve.cache_store`` children, plus whatever spans
 the algorithm itself records through its
 :class:`~repro.core.common.Deadline`.
@@ -44,7 +48,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from threading import Lock, local as thread_local
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..core.common import Instrumentation
 from ..core.engine import MCKEngine, canonical_algorithm
@@ -236,6 +240,21 @@ def _process_worker_query(
                 _tracing.set_tracer(previous)
     spans = _WORKER_TRACER.drain() if instr.tracer is not None else []
     return (kind, payload, instr.deltas_since(before), dict(instr.timings), spans)
+
+
+class _Probe(NamedTuple):
+    """One request's counted result-cache lookup, taken before admission.
+
+    A miss carries it into the admitted :meth:`QueryService._serve`:
+    ``key`` and ``stamp`` for the fill, the interval for the
+    ``serve.cache_probe`` span.
+    """
+
+    key: tuple
+    stamp: int
+    group: Optional[Group]
+    started_ns: int
+    ended_ns: int
 
 
 class QueryService:
@@ -436,6 +455,9 @@ class QueryService:
         self._process_pool_lock = Lock()
         self._inflight: Dict[tuple, Future] = {}
         self._inflight_lock = Lock()
+        #: Cache hits served on the caller's thread, never admitted.
+        self._inline_hits = 0
+        self._inline_hits_lock = Lock()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -450,7 +472,7 @@ class QueryService:
         timeout: Optional[float] = None,
         explain: bool = False,
     ) -> ServedResult:
-        """Answer one query through admission control and wait for it.
+        """Answer one query (a miss through admission control) and wait.
 
         Raises :class:`~repro.exceptions.QueryRejected` when admission
         control sheds the request (queue full, unmeetable deadline, or
@@ -467,12 +489,14 @@ class QueryService:
         timeout: Optional[float] = None,
         explain: bool = False,
     ) -> "Future[ServedResult]":
-        """Enqueue one query; returns a future of its :class:`ServedResult`.
+        """Submit one query; returns a future of its :class:`ServedResult`.
 
+        A cache hit is served on the calling thread and its future is
+        already resolved; a miss is queued through admission control.
         Raises :class:`~repro.exceptions.QueryRejected` immediately when
         the request is not admitted (reason ``shutdown`` after
-        :meth:`close`); a request shed *after* admission resolves its
-        future with the same exception.
+        :meth:`close`, hits included); a request shed *after* admission
+        resolves its future with the same exception.
 
         With ``explain=True`` the result carries an EXPLAIN report
         (``result.explain``): algorithm and kernel mode, cache and
@@ -623,8 +647,14 @@ class QueryService:
         return self.metrics.as_dict()
 
     def admission_dict(self) -> dict:
-        """Admission-control snapshot: conservation counters, depth, limit."""
+        """Admission-control snapshot: conservation counters, depth, limit.
+
+        ``inline_hits`` counts the cache hits served before admission, so
+        ``submitted + inline_hits`` is every request that reached the
+        service.
+        """
         counters = self.admission.counters()
+        counters["inline_hits"] = self._inline_hits
         counters["queue_depth"] = self.admission.queue_depth
         counters["inflight"] = self.admission.inflight
         counters["concurrency_limit"] = self.limiter.limit
@@ -673,10 +703,20 @@ class QueryService:
         self, request: QueryRequest, explain: bool = False
     ) -> "Future[ServedResult]":
         algorithm = canonical_algorithm(request.algorithm)
+        probe = None
+        # A closed service skips the probe: admission rejects with
+        # ``shutdown`` below, hits included.
+        if self.cache.max_size and not self._closed:
+            started = time.perf_counter()
+            probe = self._probe(request, algorithm)
+            if probe.group is not None:
+                return self._serve_inline(request, algorithm, probe, started, explain)
         try:
             future = self.admission.submit(
                 self._serve,
                 request,
+                algorithm,
+                probe,
                 time.monotonic_ns(),
                 explain,
                 cost=self._estimate_cost(request, algorithm),
@@ -686,25 +726,69 @@ class QueryService:
         except QueryRejected as err:
             # Rejected at the door (queue full, unmeetable deadline,
             # shutdown): the request never ran, so synthesize its trace.
-            self._record_rejection(request, err)
+            self._record_rejection(request, algorithm, err)
             raise
         # A request shed *after* admission (victim of reject-oldest /
         # deadline-aware policies, or flushed at close) resolves its
         # future with QueryRejected instead of raising here.
         future.add_done_callback(
-            lambda fut: self._record_shed_future(request, fut)
+            lambda fut: self._record_shed_future(request, algorithm, fut)
         )
         return future
 
-    def _record_shed_future(self, request: QueryRequest, fut: Future) -> None:
+    def _probe(self, request: QueryRequest, algorithm: str) -> _Probe:
+        """The request's one counted cache lookup, on the caller's thread.
+
+        The stamp is captured *before* the lookup, so before any queuing
+        or execution: a mutation racing either bumps the live generation
+        past it, and the filled entry is condemned on its next lookup
+        instead of serving a possibly stale answer.
+        """
+        key = make_cache_key(request.keywords, algorithm, request.epsilon)
+        started_ns = time.monotonic_ns()
+        stamp = self.cache.probe_stamp(key)
+        group = self.cache.get(key)
+        return _Probe(key, stamp, group, started_ns, time.monotonic_ns())
+
+    def _serve_inline(
+        self,
+        request: QueryRequest,
+        algorithm: str,
+        probe: _Probe,
+        started: float,
+        explain: bool,
+    ) -> "Future[ServedResult]":
+        """Serve a cache hit on the caller's thread, outside admission.
+
+        A hit executes nothing, so it takes no queue slot, no worker
+        hand-off and no limiter sample: admission's counters and the
+        limiter's baselines describe executions only.
+        """
+        with self._inline_hits_lock:
+            self._inline_hits += 1
+        self.metrics.inline_hits_counter.inc(1.0, algorithm=algorithm)
+        future: "Future[ServedResult]" = Future()
+        try:
+            result = self._serve(request, algorithm, probe, None, explain, started)
+        except Exception as err:  # noqa: BLE001 - surfaces through the future
+            future.set_exception(err)
+        else:
+            future.set_result(result)
+        return future
+
+    def _record_shed_future(
+        self, request: QueryRequest, algorithm: str, fut: Future
+    ) -> None:
         try:
             err = fut.exception()
         except BaseException:  # cancelled — nothing to record
             return
         if isinstance(err, QueryRejected):
-            self._record_rejection(request, err)
+            self._record_rejection(request, algorithm, err)
 
-    def _record_rejection(self, request: QueryRequest, err: QueryRejected) -> None:
+    def _record_rejection(
+        self, request: QueryRequest, algorithm: str, err: QueryRejected
+    ) -> None:
         """Observability for a shed request: SLO bad event + flight trace.
 
         A rejected request never executed, so it has no organic spans; a
@@ -713,7 +797,6 @@ class QueryService:
         debuggable.  The synthesized trace id is stashed on the exception
         (``err.trace_id``) for :meth:`_rejected_result` to surface.
         """
-        algorithm = canonical_algorithm(request.algorithm)
         stats = QueryStats(
             keywords=request.keywords,
             algorithm=algorithm,
@@ -808,10 +891,17 @@ class QueryService:
     def _serve(
         self,
         request: QueryRequest,
+        algorithm: str,
+        probe: Optional[_Probe],
         enqueued_ns: Optional[int] = None,
         explain: bool = False,
+        started: Optional[float] = None,
     ) -> ServedResult:
-        started = time.perf_counter()
+        """Serve one request: an admitted one on a worker thread (queued
+        at ``enqueued_ns``), or a cache hit inline on the caller's thread
+        (``enqueued_ns`` None, ``started`` taken before its probe)."""
+        if started is None:
+            started = time.perf_counter()
         faults_before = _faults.total_triggered()
         ephemeral: Optional[_tracing.Tracer] = None
         if explain and self._tracer() is None:
@@ -830,7 +920,12 @@ class QueryService:
                 ) as root:
                     trace_id = getattr(root, "trace_id", "") or ""
                     self._local.trace_id = trace_id
-                    if enqueued_ns is not None:
+                    if enqueued_ns is None:
+                        # An inline hit began at its probe, which ran
+                        # before this span could exist.
+                        if isinstance(root, _tracing.Span):
+                            root.start_ns = probe.started_ns
+                    else:
                         # The wait happened before this span existed; record it
                         # as two already-complete children: the raw queue wait
                         # and the admission view of it (policy, live depth,
@@ -849,7 +944,9 @@ class QueryService:
                                 queue_depth=self.admission.queue_depth,
                                 concurrency_limit=round(self.limiter.limit, 3),
                             )
-                    result = self._serve_traced(request, started, cid)
+                    result = self._serve_traced(
+                        request, algorithm, probe, started, cid
+                    )
                     root.set_attribute(
                         "cache", "hit" if result.stats.cache_hit else "miss"
                     )
@@ -939,34 +1036,45 @@ class QueryService:
         )
 
     def _serve_traced(
-        self, request: QueryRequest, started: float, cid: str
+        self,
+        request: QueryRequest,
+        algorithm: str,
+        probe: Optional[_Probe],
+        started: float,
+        cid: str,
     ) -> ServedResult:
-        key = self._cache_key(request)
-        if key is not None:
-            with self._span("serve.cache_probe") as probe:
-                # The stamp is captured *before* executing: a mutation
-                # racing the execution bumps the live generation past it,
-                # so the filled entry is condemned on its next lookup
-                # instead of serving a possibly stale answer.
-                stamp = self.cache.probe_stamp(key)
-                cached = self.cache.get(key)
-                probe.set_attribute("hit", cached is not None)
-            if cached is not None:
-                return self._finish_hit(request, cached, started, cid)
-            return self._serve_with_singleflight(request, key, started, cid, stamp)
-
-        group, stats, error = self._execute(request, started, cid)
-        self._record(stats)
-        return ServedResult(request=request, group=group, stats=stats, error=error)
+        if probe is None:
+            group, stats, error = self._execute(request, algorithm, started, cid)
+            self._record(stats)
+            return ServedResult(request=request, group=group, stats=stats, error=error)
+        tracer = self._tracer()
+        if tracer is not None:
+            tracer.record_complete(
+                "serve.cache_probe",
+                probe.started_ns,
+                probe.ended_ns,
+                hit=probe.group is not None,
+            )
+        if probe.group is not None:
+            return self._finish_hit(request, algorithm, probe.group, started, cid)
+        return self._serve_with_singleflight(request, algorithm, probe, started, cid)
 
     def _serve_with_singleflight(
         self,
         request: QueryRequest,
-        key: tuple,
+        algorithm: str,
+        probe: _Probe,
         started: float,
         cid: str,
-        stamp: int = 0,
     ) -> ServedResult:
+        key = probe.key
+        # A leader that finished while this request queued filled the
+        # entry after the probe missed: join its answer, as a follower
+        # would, rather than execute the same query again.
+        if key in self.cache:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return self._finish_join(request, algorithm, cached, None, started, cid)
         with self._inflight_lock:
             fut = self._inflight.get(key)
             if fut is None or fut.done():
@@ -978,13 +1086,13 @@ class QueryService:
 
         if leader:
             try:
-                group, stats, error = self._execute(request, started, cid)
+                group, stats, error = self._execute(request, algorithm, started, cid)
                 # Degraded answers are never cached: they are worse than a
                 # completed run and would keep being served after the
                 # deadline pressure (or pool outage) has passed.
                 if group is not None and not group.degraded:
                     with self._span("serve.cache_store"):
-                        self.cache.put(key, group, stamp=stamp)
+                        self.cache.put(key, group, stamp=probe.stamp)
                 fut.set_result((group, error))
             except BaseException as err:  # pragma: no cover - defensive
                 fut.set_exception(err)
@@ -1007,18 +1115,12 @@ class QueryService:
             cached = self.cache.get(key)
             if cached is not None:
                 group = cached
-        return self._finish_join(request, group, error, started, cid)
-
-    def _cache_key(self, request: QueryRequest) -> Optional[tuple]:
-        if self.cache.max_size == 0:
-            return None
-        return make_cache_key(request.keywords, request.algorithm, request.epsilon)
+        return self._finish_join(request, algorithm, group, error, started, cid)
 
     def _execute(
-        self, request: QueryRequest, started: float, cid: str
+        self, request: QueryRequest, algorithm: str, started: float, cid: str
     ) -> Tuple[Optional[Group], QueryStats, Optional[str]]:
         """Run the algorithm (thread-local or process pool) and measure."""
-        algorithm = canonical_algorithm(request.algorithm)
         stats = QueryStats(
             keywords=request.keywords,
             algorithm=algorithm,
@@ -1027,7 +1129,7 @@ class QueryService:
         )
         with self._span("serve.execute", algorithm=algorithm):
             if algorithm in self._process_algorithms:
-                outcome = self._run_in_process_pool(request, cid)
+                outcome = self._run_in_process_pool(request, algorithm, cid)
             else:
                 outcome = self._run_inline(request)
         kind, payload, counters, timings, worker_spans = outcome
@@ -1086,15 +1188,14 @@ class QueryService:
     # BrokenProcessPool), or the result pipe tore mid-read.
     _POOL_FAILURES = (BrokenExecutor, BrokenPipeError, EOFError, OSError)
 
-    def _run_in_process_pool(self, request: QueryRequest, cid: str):
+    def _run_in_process_pool(self, request: QueryRequest, algorithm: str, cid: str):
         tracer = self._tracer()
         trace_id = tracer.current_trace_id() if tracer is not None else None
-        algorithm = canonical_algorithm(request.algorithm)
         attempt = 0
         while True:
             if not self.breaker.allow():
                 return self._pool_fallback(
-                    request, "process pool circuit breaker is open"
+                    request, algorithm, "process pool circuit breaker is open"
                 )
             try:
                 # The fault site fires before the pool is (re)built so an
@@ -1124,7 +1225,9 @@ class QueryService:
                 )
                 if attempt >= self.pool_retries:
                     return self._pool_fallback(
-                        request, f"process pool failed after {attempt + 1} attempts"
+                        request,
+                        algorithm,
+                        f"process pool failed after {attempt + 1} attempts",
                     )
                 self.metrics.pool_retry_counter.inc(1.0, algorithm=algorithm)
                 backoff = min(
@@ -1138,14 +1241,13 @@ class QueryService:
             self.breaker.record_success()
             return outcome
 
-    def _pool_fallback(self, request: QueryRequest, reason: str):
+    def _pool_fallback(self, request: QueryRequest, algorithm: str, reason: str):
         """Answer in-process with SKECa+ when the EXACT pool is unusable.
 
         The answer is feasible but only 2/√3+ε-certified, so it is always
         marked degraded; strict mode refuses the substitution and reports
         the pool failure instead.
         """
-        algorithm = canonical_algorithm(request.algorithm)
         self.metrics.pool_fallback_counter.inc(1.0, algorithm=algorithm)
         if self.strict_timeouts:
             return ("error", reason, {}, {}, [])
@@ -1184,11 +1286,16 @@ class QueryService:
             pool.shutdown(wait=False)
 
     def _finish_hit(
-        self, request: QueryRequest, group: Group, started: float, cid: str
+        self,
+        request: QueryRequest,
+        algorithm: str,
+        group: Group,
+        started: float,
+        cid: str,
     ) -> ServedResult:
         stats = QueryStats(
             keywords=request.keywords,
-            algorithm=canonical_algorithm(request.algorithm),
+            algorithm=algorithm,
             epsilon=request.epsilon,
             total_seconds=time.perf_counter() - started,
             cache_hit=True,
@@ -1203,6 +1310,7 @@ class QueryService:
     def _finish_join(
         self,
         request: QueryRequest,
+        algorithm: str,
         group: Optional[Group],
         error: Optional[str],
         started: float,
@@ -1210,7 +1318,7 @@ class QueryService:
     ) -> ServedResult:
         stats = QueryStats(
             keywords=request.keywords,
-            algorithm=canonical_algorithm(request.algorithm),
+            algorithm=algorithm,
             epsilon=request.epsilon,
             total_seconds=time.perf_counter() - started,
             cache_hit=group is not None,

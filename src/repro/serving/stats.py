@@ -225,6 +225,12 @@ class MetricsRegistry:
             "worker_backpressure, shutdown).",
             label_names=("reason",),
         )
+        self.inline_hits_counter = self.counter(
+            "mck_inline_hits_total",
+            help="Cache hits answered on the submitting thread, before "
+            "admission control (admission counts only what executes).",
+            label_names=("algorithm",),
+        )
         self.queue_depth_gauge = self.gauge(
             "mck_queue_depth",
             help="Requests waiting in a bounded queue (admission queue or a "

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.circlescan import circle_scan, circle_scan_candidates, sweeping_area
+from repro.core.circlescan import circle_scan, circle_scan_candidates
 from repro.core.objects import Dataset
 from repro.core.query import compile_query
 
@@ -27,7 +27,7 @@ class TestSweepingArea:
         ds = _ring_dataset()
         ctx = compile_query(ds, ["p", "a", "b"])
         pole = ctx.row_of(0)
-        rows = set(int(r) for r in sweeping_area(ctx, pole, 1.5))
+        rows = set(int(r) for r in ctx.pole_cache_bounded(pole, 1.5).rows_within(1.5))
         oids = {ctx.relevant_ids[r] for r in rows}
         assert oids == {0, 1, 2, 3, 4}
 
@@ -35,7 +35,7 @@ class TestSweepingArea:
         ds = _ring_dataset()
         ctx = compile_query(ds, ["p", "a"])
         pole = ctx.row_of(0)
-        rows = sweeping_area(ctx, pole, 1.0)
+        rows = ctx.pole_cache_bounded(pole, 1.0).rows_within(1.0)
         oids = {ctx.relevant_ids[int(r)] for r in rows}
         assert 1 in oids and 3 in oids
 

@@ -75,11 +75,6 @@ class TestDatasetAccessors:
         assert list(tids) == sorted(tids)
         assert len(tids) == 2
 
-    def test_locations_view(self, ds):
-        view = ds.locations
-        assert view[1] == (3.0, 4.0)
-        assert len(view) == 3
-
     def test_inverted_index_populated(self, ds):
         b_id = ds.vocabulary.id_of("b")
         assert ds.inverted.posting(b_id) == [0, 1]

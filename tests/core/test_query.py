@@ -119,15 +119,16 @@ class TestContextHelpers:
 
 
 class TestPoleCache:
+    # Radius 100 covers the whole fixture, so each cache holds all of O'.
     def test_sorted_distances(self, ds):
         ctx = compile_query(ds, ["a", "b", "c"])
-        cache = ctx.pole_cache(ctx.row_of(0))
+        cache = ctx.pole_cache_bounded(ctx.row_of(0), 100.0)
         assert list(cache.dists) == sorted(cache.dists)
         assert cache.dists[0] == 0.0  # the pole itself
 
     def test_prefix_union_monotone(self, ds):
         ctx = compile_query(ds, ["a", "b", "c"])
-        cache = ctx.pole_cache(ctx.row_of(0))
+        cache = ctx.pole_cache_bounded(ctx.row_of(0), 100.0)
         acc = 0
         for i in range(1, len(cache.prefix_union)):
             assert int(cache.prefix_union[i]) & acc == acc
@@ -135,22 +136,22 @@ class TestPoleCache:
 
     def test_rows_within_closed(self, ds):
         ctx = compile_query(ds, ["a", "b"])
-        cache = ctx.pole_cache(ctx.row_of(0))
+        cache = ctx.pole_cache_bounded(ctx.row_of(0), 100.0)
         rows = set(int(r) for r in cache.rows_within(1.0))
         assert ctx.row_of(1) in rows  # distance exactly 1
 
     def test_union_within_matches_bruteforce(self, ds):
         ctx = compile_query(ds, ["a", "b", "c"])
         pole = ctx.row_of(3)
-        cache = ctx.pole_cache(pole)
+        cache = ctx.pole_cache_bounded(pole, 100.0)
         for radius in (0.5, 1.5, 20.0, 100.0):
             expected = ctx.union_mask(ctx.rows_within(10.0, 10.0, radius))
             assert int(cache.union_within(radius)) == expected
 
     def test_cache_reused(self, ds):
         ctx = compile_query(ds, ["a", "b"])
-        c1 = ctx.pole_cache(0)
-        c2 = ctx.pole_cache(0)
+        c1 = ctx.pole_cache_bounded(0, 100.0)
+        c2 = ctx.pole_cache_bounded(0, 100.0)
         assert c1 is c2
 
 

@@ -166,9 +166,9 @@ class TestLiveView:
     def test_adapters_match_objects(self, base):
         delta = DeltaOverlay().with_insert(_obj(10, 5.0, 6.0, ["cafe"]))
         view = LiveView(base, delta)
-        assert view.locations[10] == (5.0, 6.0)
-        assert view.locations[0] == (0.0, 0.0)
-        assert view.term_ids[10] == (view.vocabulary.id_of("cafe"),)
+        assert view.location_of(10) == (5.0, 6.0)
+        assert view.location_of(0) == (0.0, 0.0)
+        assert view.term_ids_of(10) == (view.vocabulary.id_of("cafe"),)
         assert view.global_mask_of(10) == 1 << view.vocabulary.id_of("cafe")
 
 
@@ -352,5 +352,5 @@ def test_view_len_is_consistent_with_iteration(base):
         .with_delete(3, ("hotel",))
     )
     view = LiveView(base, delta)
-    assert len(view) == len(list(view)) == len(view.locations)
+    assert len(view) == len(list(view)) == len(BASE_RECORDS) + 2 - 1
     assert math.isclose(view.location_of(10)[0], 5.0)

@@ -86,15 +86,19 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _reference_view(ctx, pole_row, diameter):
-    """The pole's sweeping area ``(rows, dists)`` from the unbounded pole
-    cache, or None when even the whole area cannot cover the query."""
+    """The pole's sweeping area ``(rows, dists)`` from a stable distance
+    sort of all of O', or None when even the whole area cannot cover the
+    query.  The same closed-boundary tolerance as ``PoleCache``."""
     if ctx.hopeless(diameter, pole_row):
         return None
-    cache = ctx.pole_cache(pole_row)
-    k = cache.prefix_length(diameter)
-    if k == 0 or cache.prefix_union[k] != ctx.full_mask:
+    delta = ctx.coords - ctx.coords[pole_row]
+    dists = np.hypot(delta[:, 0], delta[:, 1])
+    order = np.argsort(dists, kind="stable").astype(np.intp)
+    dists = dists[order]
+    k = int(np.searchsorted(dists, diameter * (1.0 + 1e-12) + 1e-18, side="right"))
+    if k == 0 or ctx.union_mask(order[:k]) != ctx.full_mask:
         return None
-    return cache.rows[:k], cache.dists[:k]
+    return order[:k], dists[:k]
 
 
 def _reference_events(ctx, pole_row, view, diameter):

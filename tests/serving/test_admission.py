@@ -401,8 +401,11 @@ class TestServiceAdmission:
                 after=1,
                 times=1,
             ):
+                # Distinct keyword sets: a repeat could be a cache hit,
+                # which is never admitted and would not reach the fault.
                 results = service.query_many(
-                    [kyoto_query, kyoto_query, kyoto_query], algorithm="GKG"
+                    [kyoto_query, kyoto_query[:3], kyoto_query[:2]],
+                    algorithm="GKG",
                 )
         assert [r.rejected for r in results] == [False, True, False]
         assert results[0].ok and results[2].ok
@@ -419,7 +422,7 @@ class TestServiceAdmission:
                 error=lambda: QueryRejected("injected", "smoke"),
             ):
                 with pytest.raises(QueryRejected):
-                    service.query(kyoto_query)
+                    service.query(kyoto_query[:2])  # a miss: admitted
             prom = service.metrics.to_prometheus()
         for family in (
             "mck_admission_rejected_total",
@@ -436,7 +439,9 @@ class TestServiceAdmission:
             for _ in range(3):
                 assert service.query(kyoto_query).ok
             snap = service.admission_dict()
-        assert snap["submitted"] == 3
+        # The repeats are cache hits, served before admission.
+        assert snap["submitted"] == 1
+        assert snap["inline_hits"] == 2
         assert snap["submitted"] == snap["accepted"] + snap["rejected"]
         assert snap["accepted"] == snap["completed"] + snap["failed"]
         assert snap["queue_depth"] == 0

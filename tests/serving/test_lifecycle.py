@@ -7,6 +7,7 @@ tests), and the flight-recorder span sink had the same one-way attach.
 """
 
 import threading
+import time
 from concurrent.futures import Future, wait
 
 import pytest
@@ -124,11 +125,28 @@ class TestCloseSubmitRace:
     """
 
     def test_every_future_resolves(self):
+        self._race(cache_size=0)
+
+    def test_every_future_resolves_with_cache_hits(self):
+        # Half the submits repeat a query cached before the race, so
+        # close() races hits served on the submitting threads as well as
+        # admitted misses.
+        self._race(cache_size=16)
+
+    def _race(self, cache_size):
         dataset = make_random_dataset(7, n=50)
         query = list(feasible_query(dataset, 0, 3))
         service = QueryService(
-            dataset, max_workers=2, cache_size=0, metrics=MetricsRegistry()
+            dataset,
+            max_workers=2,
+            cache_size=cache_size,
+            metrics=MetricsRegistry(),
         )
+        queries, primed = [query], 0
+        if cache_size:
+            assert service.query(query, algorithm="GKG").ok
+            queries, primed = [query, list(feasible_query(dataset, 1, 3))], 1
+            assert set(queries[1]) != set(query)
         start = threading.Barrier(3)
         futures = []
         immediate_rejects = []
@@ -136,9 +154,9 @@ class TestCloseSubmitRace:
 
         def submitter():
             start.wait()
-            for _ in range(25):
+            for i in range(25):
                 try:
-                    future = service.submit(query, algorithm="GKG")
+                    future = service.submit(queries[i % len(queries)], algorithm="GKG")
                 except QueryRejected as err:
                     with lock:
                         immediate_rejects.append(err)
@@ -152,6 +170,11 @@ class TestCloseSubmitRace:
 
         def closer():
             start.wait()
+            # With a primed cache, let some submits land first, so hits
+            # race the close.
+            deadline = time.monotonic() + 10
+            while primed and len(futures) < 10 and time.monotonic() < deadline:
+                time.sleep(0.0005)
             service.close()
 
         close_thread = threading.Thread(target=closer)
@@ -173,13 +196,18 @@ class TestCloseSubmitRace:
             else:
                 assert result.ok or result.error
                 resolved += 1
-        # Conservation: everything submitted was accounted, nothing lost.
-        counters = service.admission.counters()
+        # Conservation: every request was either admitted or served
+        # inline as a cache hit, and every admitted one was accounted.
+        counters = service.admission_dict()
         assert counters["submitted"] == counters["accepted"] + counters["rejected"]
         assert counters["accepted"] == counters["completed"] + counters["failed"]
-        assert counters["submitted"] == (
-            len(futures) + len(immediate_rejects)
+        inline = counters["inline_hits"]
+        assert inline == service.metrics.inline_hits_counter.value(algorithm="GKG")
+        assert counters["submitted"] + inline == (
+            len(futures) + len(immediate_rejects) + primed
         )
+        if cache_size == 0:
+            assert inline == 0
         assert resolved + shed == len(futures)
 
     def test_rejections_after_close_carry_shutdown_reason(self):
