@@ -1,12 +1,13 @@
 """Distributed mCK — the paper's §8 future work, simulated.
 
 Splits a city across a grid of workers and answers mCK queries with the
-two-round protocol of ``repro.distributed``: a cheap local-bound round
-(GKG per partition) fixes the halo width, then every worker solves EXACT
-on its core+halo view and the coordinator keeps the global minimum.  The
-result is provably identical to the centralized answer; the interesting
-part is the accounting — replication, messages, and the parallel
-makespan vs the centralized runtime.
+protocol of ``repro.distributed``: every worker solves EXACT on its own
+cell, and the coordinator solves once more over the boundary strip, the
+rows within the best local diameter of an inner cell edge, where a
+better group straddling two cells would have to lie.  The result is
+provably identical to the centralized answer; the interesting part is
+the accounting — strip rows shipped, messages, and the parallel makespan
+vs the centralized runtime.
 
 Run with::
 
@@ -58,8 +59,8 @@ def main() -> None:
 
     print(
         "\nEvery distributed answer matched the centralized EXACT optimum; "
-        "the halo width adapts per query to the GKG bound, which is what "
-        "keeps the protocol exact."
+        "the boundary strip narrows per query to the best local diameter, "
+        "which is what keeps the protocol exact."
     )
 
 

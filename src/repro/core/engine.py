@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..exceptions import AlgorithmTimeout, QueryError
+from ..exceptions import AlgorithmTimeout, InfeasibleQueryError, QueryError
 from ..observability import tracer as _tracing
 from ..observability.explain import build_explain, collect_trace_spans
 from .common import Deadline, Instrumentation, instrumentation_span
 from .exact import exact
 from .gkg import gkg
 from .objects import Dataset
-from .query import MCKQuery, QueryContext, compile_query
+from .query import MCKQuery, QueryContext, QueryRows, compile_query, query_rows
 from .result import Group
 from .skec import skec
 from .skeca import DEFAULT_EPSILON, skeca
@@ -29,9 +29,11 @@ from .skecaplus import skeca_plus
 __all__ = [
     "MCKEngine",
     "ALGORITHMS",
+    "ShardAnswer",
     "attach_explain",
     "canonical_algorithm",
     "run_query",
+    "run_shard_query",
 ]
 
 #: Canonical algorithm names, as used in the paper's figures.
@@ -166,6 +168,47 @@ def run_query(
             getattr(root_span, "trace_id", None),
         )
     return group
+
+
+class ShardAnswer(NamedTuple):
+    """A shard's own answer (``None`` when it misses a keyword) and its
+    relevant rows: the holders of any query keyword it answered on."""
+
+    group: Optional[Group]
+    rows: QueryRows
+
+
+def run_shard_query(
+    compile_context: Callable[[Sequence[str]], QueryContext],
+    dataset,
+    keywords: Sequence[str],
+    algorithm: str,
+    epsilon: float,
+    timeout: Optional[float],
+    degrade_on_timeout: bool,
+    engine_kind: str,
+    **run_kwargs,
+) -> ShardAnswer:
+    """:func:`run_query` for one shard of a scatter-gather.
+
+    The rows come from the context the answer was compiled on, or, when
+    the compile finds a keyword missing, from :func:`query_rows` over
+    ``dataset``, the store ``compile_context`` reads.
+    """
+    contexts: List[QueryContext] = []
+
+    def compile_and_keep(kw: Sequence[str]) -> QueryContext:
+        contexts.append(compile_context(kw))
+        return contexts[-1]
+
+    try:
+        group = run_query(
+            compile_and_keep, keywords, algorithm, epsilon, timeout, None,
+            degrade_on_timeout, False, engine_kind, **run_kwargs,
+        )
+    except InfeasibleQueryError:
+        return ShardAnswer(None, query_rows(dataset, keywords))
+    return ShardAnswer(group, contexts[-1].rows())
 
 
 def attach_explain(

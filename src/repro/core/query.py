@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,7 +25,14 @@ from ..index.virtual import VirtualBRTree
 from ..observability.tracer import span as _trace_span
 from .objects import Dataset
 
-__all__ = ["MCKQuery", "QueryContext", "PoleCache", "compile_query"]
+__all__ = [
+    "MCKQuery",
+    "QueryContext",
+    "QueryRows",
+    "PoleCache",
+    "compile_query",
+    "query_rows",
+]
 
 #: Relative headroom of the coverage radii read for a precheck at diameter
 #: D: the precheck keeps radii up to D / (1 - 1e-12), and 1e-11 covers that
@@ -102,6 +109,18 @@ class MCKQuery:
         return len(self.keywords)
 
 
+class QueryRows(NamedTuple):
+    """O' as ascending oids, ``(n, 2)`` coords and query-local masks."""
+
+    oids: np.ndarray
+    coords: np.ndarray
+    masks: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "QueryRows":
+        return cls(np.empty(0, np.int64), np.empty((0, 2)), np.empty(0, np.uint64))
+
+
 class QueryContext:
     """A query compiled against a dataset.
 
@@ -168,6 +187,12 @@ class QueryContext:
 
     def row_of(self, oid: int) -> int:
         return self.virtual_tree.row_of(oid)
+
+    def rows(self) -> QueryRows:
+        """O' as :class:`QueryRows`; coords and masks are this context's."""
+        oids = np.asarray(self.relevant_ids, dtype=np.int64)
+        masks = self.masks_np if self.m <= 64 else np.array(self.masks, dtype=object)
+        return QueryRows(oids, self.coords, masks)
 
     def mask_of_row(self, row: int) -> int:
         return self.masks[row]
@@ -437,3 +462,15 @@ def compile_query(dataset: Dataset, query, exclude=None) -> QueryContext:
 
         raise InfeasibleQueryError(unknown)
     return QueryContext(dataset, query, exclude=exclude)
+
+
+def query_rows(dataset: Dataset, keywords: Sequence[str]) -> QueryRows:
+    """O' as :class:`QueryRows`, also when ``dataset`` misses a keyword
+    (where :func:`compile_query` raises): its holders of the others."""
+    vocabulary = dataset.vocabulary
+    bits = {
+        vocabulary.id_of(term): 1 << i
+        for i, term in enumerate(MCKQuery(keywords).keywords)
+        if term in vocabulary
+    }
+    return QueryRows(*VirtualBRTree.gather(dataset, bits)) if bits else QueryRows.empty()

@@ -6,22 +6,14 @@ that setting as a single-process simulation with explicit communication
 accounting, so the protocol's behaviour (rounds, bytes, makespan,
 speed-up) can be studied without a cluster.
 
-Protocol (two rounds):
-
-1. **Bound round.** Every worker runs the cheap GKG on its core+halo view
-   and reports its local feasible diameter.  The minimum reported value
-   ``d_ub`` upper-bounds the global optimum *if* some worker is feasible;
-   when every partition misses a keyword, the coordinator falls back to a
-   centralized solve (counted in the stats).
-2. **Exact round.** The dataset is re-partitioned with halo width
-   ``d_ub``.  Any group with diameter <= d_ub containing an object in a
-   worker's core then lies entirely inside that worker's view, so every
-   worker solves EXACT locally and the minimum over workers is the global
-   optimum.  Workers run in parallel; the simulated makespan per round is
-   the slowest worker's compute time.
-
-Communication accounting: one message per worker per round plus the query
-broadcast; replicated objects are charged per (x, y, keywords) record.
+Protocol: every worker, built once per engine on its grid cell, answers
+the query on its cell; the coordinator then solves the boundary strip
+once with the shard router's merge
+(:func:`repro.core.scatter.scatter_merge`), so the answer is the global
+optimum.  Accounting: the query out and each answer back, then, when the
+best local diameter is positive, the bound out and the strip rows back,
+charged per (x, y, keywords) record.  The simulated makespan is the
+slowest worker plus the strip solve.
 """
 
 from __future__ import annotations
@@ -31,9 +23,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.engine import MCKEngine
+from ..core.engine import canonical_algorithm
 from ..core.objects import Dataset
 from ..core.result import Group
+from ..core.scatter import scatter_merge
 from ..exceptions import InfeasibleQueryError, QueryRejected, WorkerCrashed
 from ..observability import tracer as _tracing
 from ..observability.flight import FlightRecorder
@@ -58,18 +51,19 @@ class DistributedResult:
     """Outcome of one distributed query with its cost accounting."""
 
     group: Group
+    #: 1, or 2 when the coordinator collected a boundary strip.
     rounds: int
     messages: int
     bytes_shipped: int
-    #: Simulated parallel wall-clock: sum over rounds of the slowest worker.
+    #: Simulated parallel wall-clock: the slowest worker plus the strip solve.
     makespan_seconds: float
-    #: Total compute across all workers (the "cluster seconds").
+    #: Total compute across all workers and the coordinator.
     total_compute_seconds: float
-    #: True when the coordinator had to solve centrally (no feasible local
-    #: bound); the distributed protocol then adds no benefit.
-    fell_back_to_central: bool = False
+    #: Rows in the boundary strip the coordinator collected.
+    strip_objects: int = 0
+    #: One answer per worker that was not abandoned.
     worker_answers: List[LocalAnswer] = field(default_factory=list)
-    #: Worker crashes observed across both rounds.
+    #: Worker crashes observed.
     worker_crashes: int = 0
     #: Respawn-and-resubmit attempts that followed those crashes.
     worker_retries: int = 0
@@ -95,9 +89,10 @@ class DistributedMCKEngine:
         self.dataset = dataset
         self.partitioner = GridPartitioner(dataset, n_workers)
         self.epsilon = epsilon
-        #: Respawn-and-resubmit budget per worker per round; a worker that
-        #: exhausts it is abandoned and contributes an infeasible answer
-        #: (the protocol degrades, it does not fail).
+        #: Respawn-and-resubmit budget per worker per query; a worker that
+        #: exhausts it is abandoned and left out of the merge, whose answer
+        #: is then tagged ``partial`` (the protocol degrades, it does not
+        #: fail).
         self.max_worker_retries = max(0, max_worker_retries)
         self.retry_backoff_seconds = retry_backoff_seconds
         self.retry_backoff_cap = retry_backoff_cap
@@ -127,7 +122,9 @@ class DistributedMCKEngine:
         self.worker_queue_capacity = worker_queue_capacity
         self._pending: Dict[int, int] = {}
         self._pending_lock = threading.Lock()
-        self._central_engine: Optional[MCKEngine] = None
+        self._workers = [
+            Worker(p, dataset) for p in self.partitioner.partitions()
+        ]
         #: Optional tail-latency flight recorder.  The coordinator spans go
         #: through the process-global tracer, so attach the recorder there;
         #: worker-crash rounds are retained as fault-hit traces.
@@ -210,12 +207,15 @@ class DistributedMCKEngine:
     # ------------------------------------------------------------------ #
 
     def query(
-        self,
-        keywords: Sequence[str],
-        bound_algorithm: str = "GKG",
-        exact_algorithm: str = "EXACT",
+        self, keywords: Sequence[str], algorithm: str = "EXACT"
     ) -> DistributedResult:
-        """Run the two-round distributed protocol."""
+        """Answer on every worker, then merge over the boundary strip.
+
+        With a flight recorder, the finished trace is handed to it; worker
+        crashes count as fault hits, so crash-and-respawn queries are
+        always retained, like injected faults in the serving path.
+        """
+        algorithm = canonical_algorithm(algorithm)
         started = time.perf_counter()
         with correlation_scope() as cid:
             result = None
@@ -225,207 +225,93 @@ class DistributedMCKEngine:
                 with _trace_span(
                     "dist.query", workers=self.n_workers, m=len(list(keywords))
                 ) as root:
-                    result = self._query_traced(
-                        keywords, bound_algorithm, exact_algorithm, cid
-                    )
+                    result = self._query_traced(keywords, algorithm, cid)
             except Exception as err:  # noqa: BLE001 - recorded, then re-raised
                 error = str(err) or type(err).__name__
                 raise
             finally:
-                self._complete_flight(
-                    getattr(root, "trace_id", None) or "",
-                    cid,
-                    exact_algorithm,
-                    result,
-                    error,
-                    time.perf_counter() - started,
-                )
+                trace_id = getattr(root, "trace_id", None)
+                if self.flight is not None and trace_id:
+                    self.flight.complete(
+                        trace_id,
+                        algorithm=algorithm,
+                        correlation_id=cid,
+                        latency_seconds=time.perf_counter() - started,
+                        degraded=result is not None and result.group.degraded,
+                        error=error,
+                        fault_hits=result.worker_crashes if result else 0,
+                    )
         return result
 
-    def _complete_flight(
-        self,
-        trace_id: str,
-        cid: str,
-        algorithm: str,
-        result: Optional[DistributedResult],
-        error: Optional[str],
-        latency_seconds: float,
-    ) -> None:
-        """Hand the finished distributed trace to the flight recorder.
-
-        Worker crashes count as fault hits so crash-and-respawn rounds are
-        always retained, exactly like injected faults in the serving path.
-        """
-        if self.flight is None or not trace_id:
-            return
-        crashes = result.worker_crashes if result is not None else 0
-        degraded = bool(result is not None and result.fell_back_to_central)
-        self.flight.complete(
-            trace_id,
-            algorithm=algorithm,
-            correlation_id=cid,
-            latency_seconds=latency_seconds,
-            degraded=degraded,
-            error=error,
-            fault_hits=crashes,
-        )
-
     def _query_traced(
-        self,
-        keywords: Sequence[str],
-        bound_algorithm: str,
-        exact_algorithm: str,
-        cid: str,
+        self, keywords: Sequence[str], algorithm: str, cid: str
     ) -> DistributedResult:
-        messages = 0
-        bytes_shipped = 0
-        makespan = 0.0
-        total_compute = 0.0
-
-        # Round 1: local bounds on a halo-less partitioning.
-        with _trace_span("dist.bound_round", algorithm=bound_algorithm):
-            bound_workers = self._spawn_workers(halo=0.0)
-            messages += len(bound_workers)  # query broadcast
-            bytes_shipped += len(bound_workers) * _BYTES_PER_MESSAGE
-            bound_answers, crashes, retries = self._gather(
-                bound_workers, keywords, bound_algorithm, cid, "bound"
+        n = len(self._workers)
+        with _trace_span("dist.bound_round", algorithm=algorithm):
+            answers, crashes, retries = self._gather(keywords, algorithm, cid)
+        abandoned = n - len(answers)
+        try:
+            merged = scatter_merge(
+                keywords, algorithm, answers, self.partitioner.tiling,
+                self.epsilon, None, left_out=abandoned,
             )
-        messages += len(bound_answers)
-        bytes_shipped += len(bound_answers) * _BYTES_PER_MESSAGE
-        round_times = [a.compute_seconds for a in bound_answers]
-        makespan += max(round_times, default=0.0)
-        total_compute += sum(round_times)
-
-        feasible = [a for a in bound_answers if a.group is not None]
-        if not feasible:
-            # No single partition covers the query: the optimum spans cell
-            # borders wider than any local view.  Solve centrally.
-            _log.info(
-                "dist.central_fallback",
-                workers=len(bound_workers),
-                algorithm=exact_algorithm,
-            )
-            with _trace_span("dist.central_solve", algorithm=exact_algorithm):
-                central_group, central_time = self._central_solve(
-                    keywords, exact_algorithm
-                )
-            return DistributedResult(
-                group=central_group,
-                rounds=1,
-                messages=messages,
-                bytes_shipped=bytes_shipped,
-                makespan_seconds=makespan + central_time,
-                total_compute_seconds=total_compute + central_time,
-                fell_back_to_central=True,
-                worker_answers=bound_answers,
-                worker_crashes=crashes,
-                worker_retries=retries,
-            )
-
-        d_ub = min(a.diameter for a in feasible)
-        best_bound = min(feasible, key=lambda a: a.diameter)
-        _log.debug(
-            "dist.bound_round_done", d_ub=d_ub, feasible_workers=len(feasible)
-        )
-
-        if d_ub == 0.0:
-            # A single object covers the query: already optimal.
-            return DistributedResult(
-                group=best_bound.group,
-                rounds=1,
-                messages=messages,
-                bytes_shipped=bytes_shipped,
-                makespan_seconds=makespan,
-                total_compute_seconds=total_compute,
-                worker_answers=bound_answers,
-                worker_crashes=crashes,
-                worker_retries=retries,
-            )
-
-        # Round 2: re-partition with halo = d_ub and solve exactly.
-        with _trace_span(
-            "dist.exact_round", algorithm=exact_algorithm, halo=d_ub
-        ):
-            exact_workers = self._spawn_workers(halo=d_ub)
-            replicated = sum(len(w.partition.halo_ids) for w in exact_workers)
-            shipped = sum(len(w) for w in exact_workers)
-            bytes_shipped += shipped * _BYTES_PER_OBJECT
-            messages += 2 * len(exact_workers)  # query out, answer back
-            bytes_shipped += 2 * len(exact_workers) * _BYTES_PER_MESSAGE
-
-            exact_answers, exact_crashes, exact_retries = self._gather(
-                exact_workers, keywords, exact_algorithm, cid, "exact"
-            )
-            crashes += exact_crashes
-            retries += exact_retries
-        round_times = [a.compute_seconds for a in exact_answers]
-        makespan += max(round_times, default=0.0)
-        total_compute += sum(round_times)
-
-        candidates = [a for a in exact_answers if a.group is not None]
-        best = min(candidates, key=lambda a: a.diameter, default=None)
-        if best is None or best.diameter > d_ub:
-            winner = best_bound.group
-        else:
-            winner = best.group
-
-        result = DistributedResult(
-            group=winner,
-            rounds=2,
+        except InfeasibleQueryError:
+            # The rows of an abandoned worker might have covered the query.
+            if abandoned:
+                detail = f"{abandoned} of {n} workers abandoned"
+                raise WorkerCrashed(-1, detail) from None
+            raise
+        d_ub = min((a.diameter for a in answers), default=float("inf"))
+        rounds = 1 if d_ub == 0.0 else 2
+        messages = 2 * n * rounds
+        times = [a.compute_seconds for a in answers]
+        return DistributedResult(
+            group=merged.group,
+            rounds=rounds,
             messages=messages,
-            bytes_shipped=bytes_shipped,
-            makespan_seconds=makespan,
-            total_compute_seconds=total_compute,
-            worker_answers=bound_answers + exact_answers,
+            bytes_shipped=messages * _BYTES_PER_MESSAGE
+            + merged.strip_objects * _BYTES_PER_OBJECT,
+            makespan_seconds=max(times, default=0.0) + merged.strip_seconds,
+            total_compute_seconds=sum(times) + merged.strip_seconds,
+            strip_objects=merged.strip_objects,
+            worker_answers=answers,
             worker_crashes=crashes,
             worker_retries=retries,
         )
-        result.group.stats["replicated_objects"] = float(replicated)
-        return result
 
     # ------------------------------------------------------------------ #
 
     #: Failures treated as a dead worker rather than a query error.
     _WORKER_FAILURES = (WorkerCrashed, BrokenPipeError, EOFError)
 
-    def _gather(
-        self,
-        workers: List[Worker],
-        keywords: Sequence[str],
-        algorithm: str,
-        cid: str,
-        round_label: str,
-    ):
+    def _gather(self, keywords: Sequence[str], algorithm: str, cid: str):
         """Collect every worker's answer, respawning crashed workers.
 
         A crash (dead process, torn pipe) is retried up to
         ``max_worker_retries`` times with capped exponential backoff; each
         retry rebuilds the worker from its partition (the simulated
         equivalent of restarting the process on its shard) and resubmits.
-        A worker that keeps dying is abandoned with an infeasible answer —
-        round 1 then bounds from the surviving workers, and round 2's
-        minimum is taken over the survivors, so the query still completes.
+        A worker that keeps dying is abandoned and contributes no answer;
+        the merge runs over the survivors, so the query still completes.
 
-        Returns ``(answers, crashes, retries)``; ``workers`` is updated in
-        place with any respawned instances.
+        Returns ``(answers, crashes, retries)``; respawned workers replace
+        the dead ones for later queries.  Metrics and logs label the round
+        ``bound``: the workers' answers bound the merge.
         """
+        round_label = "bound"
         answers: List[LocalAnswer] = []
         crashes = 0
         retries = 0
-        for i, worker in enumerate(workers):
+        for i, worker in enumerate(self._workers):
             attempt = 0
             while True:
                 try:
                     self._acquire_worker_slot(worker.worker_id, round_label)
                     try:
-                        answers.append(
-                            worker.answer(
-                                keywords,
-                                algorithm=algorithm,
-                                epsilon=self.epsilon,
-                                correlation_id=cid,
-                            )
+                        answer = worker.answer(
+                            keywords, algorithm, self.epsilon, correlation_id=cid
                         )
+                        answers.append(answer)
                     finally:
                         self._release_worker_slot(worker.worker_id)
                     break
@@ -446,7 +332,6 @@ class DistributedMCKEngine:
                             round=round_label,
                             attempts=attempt + 1,
                         )
-                        answers.append(LocalAnswer(worker.worker_id, None, 0.0))
                         break
                     backoff = min(
                         self.retry_backoff_cap,
@@ -454,23 +339,8 @@ class DistributedMCKEngine:
                     )
                     if backoff > 0.0:
                         self._sleep(backoff)
-                    worker = Worker(worker.partition, self.dataset)
-                    workers[i] = worker
+                    worker = self._workers[i] = Worker(worker.partition, self.dataset)
                     retries += 1
                     self._worker_retry_counter.inc(1.0, round=round_label)
                     attempt += 1
         return answers, crashes, retries
-
-    def _spawn_workers(self, halo: float) -> List[Worker]:
-        return [
-            Worker(p, self.dataset) for p in self.partitioner.partitions(halo)
-        ]
-
-    def _central_solve(self, keywords, algorithm):
-        if self._central_engine is None:
-            self._central_engine = MCKEngine(self.dataset)
-        started = time.perf_counter()
-        group = self._central_engine.query(
-            keywords, algorithm=algorithm, epsilon=self.epsilon
-        )
-        return group, time.perf_counter() - started

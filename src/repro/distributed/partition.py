@@ -1,23 +1,17 @@
-"""Spatial partitioning for the simulated distributed setting (paper §8).
+"""Grid partitioning for the simulated distributed setting (paper §8).
 
-The dataset's extent is tiled into a ``cells x cells`` grid; each cell is
-a worker's *core* region, and a *halo* of width ``h`` around the cell is
-replicated to the worker.  The key property driving the distributed mCK
-protocol: any group of diameter at most ``h`` that contains an object in
-a worker's core lies entirely inside that worker's core+halo view, so a
-global optimum with a diameter bound of ``h`` can be found by purely
-local searches.
+:class:`GridPartitioner` assigns every object to the cell of a
+:class:`~repro.core.scatter.Tiling` grid that owns it, one cell per
+worker; the shard router starts from the same grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from ..core.objects import Dataset
+from ..core.scatter import Tiling
 from ..exceptions import ExperimentError
 
 __all__ = ["GridPartitioner", "Partition"]
@@ -32,79 +26,38 @@ class Partition:
     core: Tuple[float, float, float, float]
     #: Object ids inside the core.
     core_ids: List[int] = field(default_factory=list)
-    #: Object ids in the halo ring (replicated, not owned).
-    halo_ids: List[int] = field(default_factory=list)
-
-    @property
-    def all_ids(self) -> List[int]:
-        return self.core_ids + self.halo_ids
 
     def __len__(self) -> int:
-        return len(self.core_ids) + len(self.halo_ids)
+        return len(self.core_ids)
 
 
 class GridPartitioner:
-    """Tile a dataset into a square grid of core cells with halos."""
+    """Tile a dataset into a square grid of cells, one per worker."""
 
     def __init__(self, dataset: Dataset, n_workers: int):
         if n_workers < 1:
             raise ExperimentError("need at least one worker")
         self.dataset = dataset
-        self.cells = max(1, int(math.floor(math.sqrt(n_workers))))
         coords = dataset.coords
         if len(coords) == 0:
             raise ExperimentError("cannot partition an empty dataset")
-        self._min_xy = coords.min(axis=0)
-        self._max_xy = coords.max(axis=0)
-        span = np.maximum(self._max_xy - self._min_xy, 1e-9)
-        self._cell_w = float(span[0]) / self.cells
-        self._cell_h = float(span[1]) / self.cells
+        self.tiling = Tiling.grid(coords[:, 0], coords[:, 1], n_workers)
 
     @property
     def n_workers(self) -> int:
-        return self.cells * self.cells
-
-    def cell_of(self, x: float, y: float) -> Tuple[int, int]:
-        """The grid cell owning a point (clamped to the grid)."""
-        cx = min(int((x - self._min_xy[0]) / self._cell_w), self.cells - 1)
-        cy = min(int((y - self._min_xy[1]) / self._cell_h), self.cells - 1)
-        return (max(cx, 0), max(cy, 0))
+        return len(self.tiling.regions)
 
     def worker_for(self, x: float, y: float) -> int:
-        """The worker id owning a point (row-major over the grid).
+        """The worker id owning a point (row-major over the grid)."""
+        return self.tiling.route(x, y)
 
-        Used by the live layer to route mutations: the object's core cell
-        decides which shard's engine applies the insert or delete.
-        """
-        cx, cy = self.cell_of(x, y)
-        return cy * self.cells + cx
-
-    def partitions(self, halo: float) -> List[Partition]:
-        """Assign every object to one core cell, replicate into halos."""
-        if halo < 0:
-            raise ExperimentError("halo width must be non-negative")
-        cells = self.cells
-        parts: Dict[Tuple[int, int], Partition] = {}
-        for cy in range(cells):
-            for cx in range(cells):
-                x1 = self._min_xy[0] + cx * self._cell_w
-                y1 = self._min_xy[1] + cy * self._cell_h
-                parts[(cx, cy)] = Partition(
-                    worker_id=cy * cells + cx,
-                    core=(x1, y1, x1 + self._cell_w, y1 + self._cell_h),
-                )
-
-        coords = self.dataset.coords
-        for oid in range(len(self.dataset)):
-            x, y = float(coords[oid, 0]), float(coords[oid, 1])
-            home = self.cell_of(x, y)
-            parts[home].core_ids.append(oid)
-            # Halo membership: every other cell whose rectangle expanded by
-            # the halo width contains the point.
-            lo_cx, lo_cy = self.cell_of(x - halo, y - halo)
-            hi_cx, hi_cy = self.cell_of(x + halo, y + halo)
-            for cy in range(lo_cy, hi_cy + 1):
-                for cx in range(lo_cx, hi_cx + 1):
-                    if (cx, cy) != home:
-                        parts[(cx, cy)].halo_ids.append(oid)
-        return [parts[key] for key in sorted(parts)]
+    def partitions(self) -> List[Partition]:
+        """Assign every object to the one core cell that owns it."""
+        parts = [
+            Partition(worker_id=i, core=(r.x1, r.y1, r.x2, r.y2))
+            for i, r in enumerate(self.tiling.regions)
+        ]
+        owners = self.tiling.owners(self.dataset.coords).tolist()
+        for oid, owner in zip(self.dataset.columns.oids.tolist(), owners):
+            parts[owner].core_ids.append(oid)
+        return parts

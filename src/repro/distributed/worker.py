@@ -1,22 +1,22 @@
 """A simulated worker node: a partition-local mCK solver.
 
-Each worker owns a sub-dataset (its partition's core + halo objects),
-answers mCK queries on it with any of the library's algorithms, and
-accounts its own compute time so the coordinator can report a simulated
-makespan (the distributed wall-clock is the slowest worker, since workers
-run in parallel).
+Each worker owns a sub-dataset (its partition's core objects, under
+their global ids), answers mCK queries on it with any of the library's
+algorithms as one shard of a scatter-gather, and accounts its own compute
+time so the coordinator can report a simulated makespan (the distributed
+wall-clock is the slowest worker, since workers run in parallel).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from ..core.engine import MCKEngine
+from ..core.engine import MCKEngine, run_shard_query
 from ..core.objects import Dataset
+from ..core.query import QueryRows
 from ..core.result import Group
-from ..exceptions import InfeasibleQueryError
 from ..observability.logging import correlation_scope, get_logger
 from ..observability.tracer import span as _trace_span
 from ..testing import faults as _faults
@@ -35,6 +35,8 @@ class LocalAnswer:
     #: Group in *global* object ids, or None when locally infeasible.
     group: Optional[Group]
     compute_seconds: float
+    #: The relevant rows the worker answered on.
+    rows: QueryRows
 
     @property
     def diameter(self) -> float:
@@ -47,27 +49,18 @@ class Worker:
     def __init__(self, partition: Partition, dataset: Dataset):
         self.worker_id = partition.worker_id
         self.partition = partition
-        #: local oid -> global oid
-        self._global_ids: List[int] = list(partition.all_ids)
-        records = [
-            (
-                dataset.coords[oid, 0],
-                dataset.coords[oid, 1],
-                dataset[oid].keywords,
+        self.local_dataset: Optional[Dataset] = None
+        self.engine: Optional[MCKEngine] = None
+        if partition.core_ids:
+            objects = map(dataset.__getitem__, partition.core_ids)
+            self.local_dataset = Dataset.seal(
+                ((o.oid, o.x, o.y, o.keywords) for o in objects),
+                name=f"worker-{self.worker_id}",
             )
-            for oid in self._global_ids
-        ]
-        if records:
-            self.local_dataset: Optional[Dataset] = Dataset.from_records(
-                records, name=f"worker-{self.worker_id}"
-            )
-            self.engine: Optional[MCKEngine] = MCKEngine(self.local_dataset)
-        else:
-            self.local_dataset = None
-            self.engine = None
+            self.engine = MCKEngine(self.local_dataset)
 
     def __len__(self) -> int:
-        return len(self._global_ids)
+        return len(self.partition)
 
     def answer(
         self,
@@ -79,9 +72,10 @@ class Worker:
     ) -> LocalAnswer:
         """Run one local query; infeasible partitions answer 'no group'.
 
-        ``correlation_id`` models the id a real RPC would carry: the
-        worker re-enters the coordinator's correlation scope so its log
-        events and spans join the originating query.
+        The answer carries the relevant rows it was computed on.
+        ``correlation_id`` models the id a real RPC would carry: the worker
+        re-enters the coordinator's correlation scope so its log events and
+        spans join the originating query.
         """
         # Fault site: a crash here models the worker process dying before
         # (or while) computing — the coordinator sees the raised error
@@ -93,35 +87,17 @@ class Worker:
         )
         started = time.perf_counter()
         if self.engine is None:
-            return LocalAnswer(self.worker_id, None, 0.0)
+            return LocalAnswer(self.worker_id, None, 0.0, QueryRows.empty())
         with correlation_scope(correlation_id or None):
             with _trace_span(
                 "dist.worker", worker_id=self.worker_id, algorithm=algorithm
             ):
-                try:
-                    local_group = self.engine.query(
-                        keywords,
-                        algorithm=algorithm,
-                        epsilon=epsilon,
-                        timeout=timeout,
-                    )
-                except InfeasibleQueryError:
-                    _log.debug(
-                        "worker.infeasible",
-                        worker_id=self.worker_id,
-                        algorithm=algorithm,
-                    )
-                    return LocalAnswer(
-                        self.worker_id, None, time.perf_counter() - started
-                    )
-        global_group = Group(
-            object_ids=tuple(
-                sorted(self._global_ids[oid] for oid in local_group.object_ids)
-            ),
-            diameter=local_group.diameter,
-            algorithm=f"{local_group.algorithm}@w{self.worker_id}",
-            enclosing_circle=local_group.enclosing_circle,
-        )
-        return LocalAnswer(
-            self.worker_id, global_group, time.perf_counter() - started
-        )
+                group, rows = run_shard_query(
+                    self.engine.context, self.local_dataset, keywords,
+                    algorithm, epsilon, timeout, False, self.engine.kind,
+                )
+        if group is None:
+            _log.debug("worker.infeasible", worker_id=self.worker_id)
+        else:
+            group.algorithm = f"{group.algorithm}@w{self.worker_id}"
+        return LocalAnswer(self.worker_id, group, time.perf_counter() - started, rows)

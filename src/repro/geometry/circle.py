@@ -83,16 +83,17 @@ def circle_from_three(
     collinear, in which case no finite circumcircle exists and callers fall
     back to the best two-point circle.
     """
+    # Relative to ``a``: squared norms of absolute coordinates cancel
+    # catastrophically when two of the points nearly coincide.
     ax, ay = a[0], a[1]
-    bx, by = b[0], b[1]
-    cx, cy = c[0], c[1]
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    bx, by = b[0] - ax, b[1] - ay
+    cx, cy = c[0] - ax, c[1] - ay
+    d = 2.0 * (bx * cy - by * cx)
     if abs(d) < 1e-12:
         raise GeometryError("collinear points have no circumcircle")
-    a_sq = ax * ax + ay * ay
     b_sq = bx * bx + by * by
     c_sq = cx * cx + cy * cy
-    ux = (a_sq * (by - cy) + b_sq * (cy - ay) + c_sq * (ay - by)) / d
-    uy = (a_sq * (cx - bx) + b_sq * (ax - cx) + c_sq * (bx - ax)) / d
+    ux = ax + (cy * b_sq - by * c_sq) / d
+    uy = ay + (bx * c_sq - cx * b_sq) / d
     r = math.sqrt(dist_sq((ux, uy), a))
     return Circle(ux, uy, r)

@@ -51,7 +51,8 @@ class InvertedIndex:
     def posting_column(self, term_id) -> np.ndarray:
         """The posting list as a sorted, deduplicated int64 column.
 
-        A sequence of term ids gives the union of their lists.
+        A sequence of term ids gives the union of their lists: the paper's
+        ``O'`` for a query.
         """
         store = self._store
         rows = store.holder_positions(term_id)
@@ -59,10 +60,6 @@ class InvertedIndex:
 
     def document_frequency(self, term_id: int) -> int:
         return len(self._store.holder_positions(term_id))
-
-    def relevant_objects(self, term_ids: Sequence[int]) -> List[int]:
-        """Sorted union of posting lists: the paper's ``O'`` for a query."""
-        return self.posting_column(list(term_ids)).tolist()
 
     def objects_with_all_terms(self, term_ids: Sequence[int]) -> List[int]:
         """Sorted intersection of posting lists: objects holding every term.

@@ -131,15 +131,9 @@ class VirtualBRTree:
             raise infeasible(missing)
 
         local_bit = {tid: 1 << i for i, tid in enumerate(query_term_ids)}
-        object_ids = inverted.relevant_objects(query_term_ids)
-        if exclude:
-            object_ids = [oid for oid in object_ids if oid not in exclude]
+        oid_column, coords, mask_column = cls.gather(source, local_bit, exclude)
+        object_ids = oid_column.tolist()
         full_mask = (1 << len(query_term_ids)) - 1
-
-        columns = source.columns
-        positions = columns.positions_of(object_ids)
-        coords = columns.coords_of(positions)
-        mask_column = columns.query_masks(positions, local_bit)
         masks: List[int] = mask_column.tolist()
         # Past 64 keywords the masks are Python ints in an object column.
         masks_np = mask_column if mask_column.dtype == np.uint64 else None
@@ -155,12 +149,30 @@ class VirtualBRTree:
                 raise infeasible(missing)
 
         return cls(
-            list(object_ids),
+            object_ids,
             coords,
             masks,
             full_mask,
             masks_np=masks_np,
             max_entries=max_entries,
+        )
+
+    @staticmethod
+    def gather(source, bit_of_term, exclude: Optional[frozenset] = None):
+        """``(oids, coords, masks)`` columns of every holder of a query term.
+
+        ``bit_of_term`` maps a global term id to its query-local bit value;
+        oids ascend and the other two columns are row-aligned.
+        """
+        object_ids = source.inverted.posting_column(list(bit_of_term))
+        if exclude:
+            object_ids = object_ids[~np.isin(object_ids, list(exclude))]
+        columns = source.columns
+        positions = columns.positions_of(object_ids)
+        return (
+            object_ids,
+            columns.coords_of(positions),
+            columns.query_masks(positions, bit_of_term),
         )
 
     # ------------------------------------------------------------------ #

@@ -400,7 +400,7 @@ class OverlayInverted:
         self._vocab = vocab
         self._delta = delta
 
-    def _live_holders(self, term_ids: Sequence[int]) -> np.ndarray:
+    def posting_column(self, term_ids: Sequence[int]) -> np.ndarray:
         """Sorted oids of live objects holding any of ``term_ids``."""
         store = self._base.columns
         base_size = self._vocab.base_size
@@ -422,13 +422,10 @@ class OverlayInverted:
         return merged
 
     def posting(self, term_id: int) -> List[int]:
-        return self._live_holders([term_id]).tolist()
+        return self.posting_column([term_id]).tolist()
 
     def document_frequency(self, term_id: int) -> int:
         return self._vocab.frequency(term_id)
-
-    def relevant_objects(self, term_ids: Sequence[int]) -> List[int]:
-        return self._live_holders(term_ids).tolist()
 
     def uncoverable_terms(self, term_ids: Sequence[int]) -> List[int]:
         return [tid for tid in term_ids if self._vocab.frequency(tid) <= 0]

@@ -40,7 +40,7 @@ from typing import (
 )
 
 from ..core.common import Instrumentation
-from ..core.engine import run_query
+from ..core.engine import ShardAnswer, run_query, run_shard_query
 from ..core.objects import Dataset, GeoObject
 from ..core.query import MCKQuery, QueryContext, compile_query
 from ..core.result import Group
@@ -623,15 +623,29 @@ class LiveMCKEngine:
                 degrade_on_timeout,
                 explain,
                 self.kind,
-                stats={
-                    "epoch": float(snapshot.epoch),
-                    "delta_size": float(snapshot.delta.size),
-                },
-                compile_attrs=lambda ctx: snapshot.view().compile_stats(
-                    ctx.query.keywords
-                ),
-                epoch=snapshot.epoch,
+                **self._snapshot_attrs(snapshot),
             )
+
+    def shard_answer(
+        self, keywords, algorithm, epsilon, timeout, degrade_on_timeout
+    ) -> ShardAnswer:
+        """:func:`~repro.core.engine.run_shard_query` on one pinned snapshot."""
+        with self._epochs.pin() as snapshot:
+            return run_shard_query(
+                lambda kw: self._context(snapshot, kw), snapshot.view(), keywords,
+                algorithm, epsilon, timeout, degrade_on_timeout, self.kind,
+                **self._snapshot_attrs(snapshot),
+            )
+
+    @staticmethod
+    def _snapshot_attrs(snapshot: Snapshot) -> dict:
+        """:func:`~repro.core.engine.run_query` keywords for a pinned snapshot."""
+        stats = {"epoch": float(snapshot.epoch), "delta_size": float(snapshot.delta.size)}
+        return {
+            "stats": stats,
+            "compile_attrs": lambda ctx: snapshot.view().compile_stats(ctx.query.keywords),
+            "epoch": snapshot.epoch,
+        }
 
     def nearest_holders(
         self, points, terms: Sequence[str], within, gather, anchors

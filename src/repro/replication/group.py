@@ -38,7 +38,6 @@ import threading
 import time
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..core.skeca import DEFAULT_EPSILON
 from ..core.objects import Dataset
 from ..exceptions import (
     DatasetError,
@@ -353,19 +352,6 @@ class ReplicationGroup:
         if prefer == "replica" or records <= lag_bound:
             return best.engine
         return self._handle.engine
-
-    def query(
-        self,
-        keywords: Sequence[str],
-        algorithm: str = "SKECa+",
-        epsilon: float = DEFAULT_EPSILON,
-        timeout: Optional[float] = None,
-        prefer: str = "auto",
-        **kwargs,
-    ):
-        return self.read_engine(prefer=prefer).query(
-            keywords, algorithm, epsilon, timeout, **kwargs
-        )
 
     # ------------------------------------------------------------------ #
     # Shipping

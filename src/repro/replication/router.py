@@ -1,29 +1,30 @@
 """Scatter-gather fan-out and live rebalancing over replication groups.
 
 :class:`ReplicatedShardRouter` is the scale-out face of the live stack:
-it tiles the bootstrap extent into a grid (the same ``floor(sqrt(n))``
-tiling the distributed layer uses), runs one
+it tiles the bootstrap extent with the same
+:class:`~repro.core.scatter.Tiling` grid the distributed layer uses, runs one
 :class:`~repro.replication.group.ReplicationGroup` per region, and
 duck-types a :class:`~repro.live.engine.LiveMCKEngine` closely enough
 that :class:`~repro.serving.service.QueryService` and the HTTP tier
 serve it unchanged.
 
 **Queries** fan out to every shard concurrently (each shard picks its
-read engine by replica lag) and merge under the caller's deadline with a
-deterministic total order — ``(diameter, sorted oids)``.  A shard that
-misses the budget does not fail the query: the merged answer is tagged
+read engine by replica lag).  Each shard returns its own answer and the
+relevant rows it answered on, and
+:func:`~repro.core.scatter.scatter_merge` solves the boundary strip the
+shard answers cannot see, so the answer is globally what its quality tag
+says: the best shard diameter only upper-bounds the optimum, and a group
+straddling a region edge can beat it.  A shard that misses the caller's
+deadline does not fail the query: the merged answer is tagged
 ``partial`` (the weakest rung of the PR 3 quality ladder) with
-``stats["shards_missed"]`` saying what was left out.  Cross-shard
-answers are the best *per-shard* group (a lower bound when the optimum
-straddles a region boundary); the ``partial`` tag makes the straggler
-case honest too.
+``stats["shards_missed"]`` saying what was left out.
 
 **Rebalancing**: :meth:`split_shard` migrates half of a hot region into
 a brand-new group without blocking readers — bootstrap the new group
 from a pinned snapshot of the moving half, catch up via fenced WAL tail
 reads, then take the (writer-only) routing lock for the final tail and
 the routing swap.  Readers racing the cutover may briefly see a moved
-object in both groups; the deterministic merge makes that harmless.
+object in both groups; the merge counts it once.
 
 Mutation routing after splits: an oid's birth group is ``oid //
 oid_stride``; migrated oids carry an explicit override entry.  Regions
@@ -33,7 +34,6 @@ stays total and disjoint through any number of splits.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 import threading
@@ -42,13 +42,12 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.common import (
-    Instrumentation,
-    QUALITY_PARTIAL,
-    QUALITY_RANK,
-)
+import numpy as np
+
+from ..core.common import Instrumentation
 from ..core.engine import attach_explain, canonical_algorithm
 from ..core.result import Group
+from ..core.scatter import Region, Tiling, scatter_merge
 from ..core.skeca import DEFAULT_EPSILON
 from ..exceptions import (
     AlgorithmTimeout,
@@ -57,6 +56,7 @@ from ..exceptions import (
 )
 from ..live.delta import HolderScan
 from ..live.engine import MutationListener
+from ..observability.tracer import Tracer, get_tracer
 from .group import ReplicationGroup
 
 __all__ = [
@@ -70,39 +70,6 @@ __all__ = [
 DEFAULT_OID_STRIDE = 1 << 40
 
 
-def _merge_key(group: Group) -> Tuple[float, Tuple[int, ...]]:
-    """Deterministic cross-shard total order: diameter, then oids."""
-    return (group.diameter, tuple(sorted(group.object_ids)))
-
-
-@dataclass(frozen=True)
-class _Region:
-    """Half-open ownership rectangle ``[x1, x2) x [y1, y2)``.
-
-    Points on the global east/north extent edge belong to the region
-    whose rectangle ends there (the grid's outermost cells), mirroring
-    the clamping the grid partitioner applies.
-    """
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def contains(self, x: float, y: float, gx2: float, gy2: float) -> bool:
-        in_x = self.x1 <= x < self.x2 or (x == gx2 and self.x2 == gx2)
-        in_y = self.y1 <= y < self.y2 or (y == gy2 and self.y2 == gy2)
-        return in_x and in_y
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-
 @dataclass
 class SplitReport:
     """What one live shard split did."""
@@ -113,8 +80,8 @@ class SplitReport:
     catch_up_records: int
     cutover_records: int
     seconds: float
-    keep_region: _Region
-    move_region: _Region
+    keep_region: Region
+    move_region: Region
 
     def as_dict(self) -> Dict:
         return {
@@ -248,41 +215,18 @@ class ReplicatedShardRouter:
             dir = self._tmpdir.name
         self.dir = os.path.abspath(dir)
 
-        # Grid geometry: the same floor(sqrt(n)) tiling GridPartitioner
-        # applies, derived straight from the bootstrap extent.
-        xs = [float(x) for x, _y, _kw in records]
-        ys = [float(y) for _x, y, _kw in records]
-        self._gx1, self._gx2 = min(xs), max(xs)
-        self._gy1, self._gy2 = min(ys), max(ys)
-        cells = max(1, int(math.floor(math.sqrt(int(n_shards)))))
-        span_x = max(self._gx2 - self._gx1, 1e-9)
-        span_y = max(self._gy2 - self._gy1, 1e-9)
-        cell_w = span_x / cells
-        cell_h = span_y / cells
-        self._regions: List[Optional[_Region]] = []
-        for cy in range(cells):
-            for cx in range(cells):
-                self._regions.append(
-                    _Region(
-                        self._gx1 + cx * cell_w,
-                        self._gy1 + cy * cell_h,
-                        self._gx1 + (cx + 1) * cell_w,
-                        self._gy1 + (cy + 1) * cell_h,
-                    )
-                )
-        n_groups = len(self._regions)
+        xy = np.array([(x, y) for x, y, _kw in records], dtype=np.float64)
+        self._tiling = Tiling.grid(xy[:, 0], xy[:, 1], n_shards)
+        n_groups = len(self._tiling.regions)
 
         grouped: Dict[int, List[Tuple[int, float, float, Iterable[str]]]] = {
             gid: [] for gid in range(n_groups)
         }
-        for x, y, kw in records:
-            gid = self.route(x, y)
+        for (x, y, kw), gid in zip(records, self._tiling.owners(xy).tolist()):
             oid = gid * self.oid_stride + len(grouped[gid])
             grouped[gid].append((oid, float(x), float(y), kw))
 
-        self.groups: List[Optional[ReplicationGroup]] = []
-        for gid in range(n_groups):
-            self.groups.append(self._make_group(gid, grouped[gid]))
+        self.groups = [self._make_group(gid, grouped[gid]) for gid in range(n_groups)]
         #: Migrated oids (split survivors) -> owning group id; everything
         #: else is owned by its birth group ``oid // oid_stride``.
         self._moved_owner: Dict[int, int] = {}
@@ -316,34 +260,21 @@ class ReplicatedShardRouter:
     # ------------------------------------------------------------------ #
 
     def live_groups(self) -> List[ReplicationGroup]:
-        return [g for g in self.groups if g is not None]
+        return list(self.groups)
 
     def live_shard_ids(self) -> List[int]:
-        return [gid for gid, g in enumerate(self.groups) if g is not None]
+        return list(range(len(self.groups)))
 
     def route(self, x: float, y: float) -> int:
         """The shard id owning a point (clamped into the extent)."""
-        x = min(max(float(x), self._gx1), self._gx2)
-        y = min(max(float(y), self._gy1), self._gy2)
-        for gid, region in enumerate(self._regions):
-            if region is not None and region.contains(
-                x, y, self._gx2, self._gy2
-            ):
-                return gid
-        raise DatasetError(  # pragma: no cover - regions tile the extent
-            f"no region owns point ({x}, {y})"
-        )
+        return self._tiling.route(x, y)
 
     def shard_of(self, oid: int) -> int:
         """The shard owning a live oid (birth stride or split override)."""
         gid = self._moved_owner.get(oid)
         if gid is None:
             gid = int(oid) // self.oid_stride
-        if (
-            gid < len(self.groups)
-            and self.groups[gid] is not None
-            and oid in self.groups[gid].primary_engine.dataset
-        ):
+        if gid < len(self.groups) and oid in self.groups[gid].primary_engine.dataset:
             return gid
         raise DatasetError(f"oid {oid} is not live in any shard")
 
@@ -376,9 +307,7 @@ class ReplicatedShardRouter:
 
             produced: Dict[int, List[int]] = {}
             for gid in sorted(set(by_shard_ins) | set(by_shard_del)):
-                group = self.groups[gid]
-                assert group is not None
-                produced[gid] = group.apply_batch(
+                produced[gid] = self.groups[gid].apply_batch(
                     inserts=by_shard_ins.get(gid, ()),
                     deletes=by_shard_del.get(gid, ()),
                 )
@@ -405,101 +334,75 @@ class ReplicatedShardRouter:
         degrade_on_timeout: bool = False,
         explain: bool = False,
     ) -> Group:
-        """Fan out, merge deterministically, degrade to ``partial``.
+        """Fan out, merge over the boundary strip, degrade to ``partial``.
 
         Same signature as the live engine's ``query`` so the serving
         layer cannot tell the difference.  A shard that cannot answer
         within the budget is *left out* of the merge and the answer is
-        tagged ``partial`` instead of erroring — as long as at least one
-        shard answered.
+        tagged ``partial`` instead of erroring — as long as the shards
+        that did answer cover the query.
         """
         canonical = canonical_algorithm(algorithm)
         if explain and instrumentation is None:
-            instrumentation = Instrumentation()
+            # A tracer of its own, so EXPLAIN shows the strip solve's span.
+            instrumentation = Instrumentation(get_tracer() or Tracer())
         started = time.perf_counter()
-        groups = [
-            (gid, g)
-            for gid, g in enumerate(self.groups)
-            if g is not None
-        ]
-        futures = {
-            self._executor.submit(
-                self._query_shard,
-                group,
-                keywords,
-                canonical,
-                epsilon,
-                timeout,
-                degrade_on_timeout,
-            ): gid
-            for gid, group in groups
-        }
+        groups = self.live_groups()
+        args = (keywords, canonical, epsilon, timeout, degrade_on_timeout)
+        futures = [self._executor.submit(self._query_shard, g, *args) for g in groups]
         done, not_done = wait(futures, timeout=timeout)
 
-        answered: List[Group] = []
-        infeasible: List[InfeasibleQueryError] = []
-        timed_out = 0
-        failed: List[Exception] = []
-        for future in done:
-            kind, payload = future.result()
-            if kind == "ok":
-                answered.append(payload)
-            elif kind == "infeasible":
-                infeasible.append(payload)
-            elif kind == "timeout":
-                timed_out += 1
-            else:
-                failed.append(payload)
-        missed = len(not_done)
+        outcomes = [future.result() for future in done]
+        answers = [o for o in outcomes if not isinstance(o, Exception)]
+        errors = [o for o in outcomes if isinstance(o, Exception)]
+        failed = [e for e in errors if not isinstance(e, AlgorithmTimeout)]
+        # Shards past the deadline, or out of time inside it.
+        missed = len(not_done) + len(errors) - len(failed)
         for future in not_done:
             future.cancel()
+        answered = sum(a.group is not None for a in answers)
+        infeasible = len(answers) - answered
 
         metrics = self._metrics
         if metrics is not None:
             for outcome, n in (
-                ("answered", len(answered)),
-                ("missed", missed + timed_out),
-                ("infeasible", len(infeasible)),
+                ("answered", answered),
+                ("missed", missed),
+                ("infeasible", infeasible),
                 ("failed", len(failed)),
             ):
                 if n:
                     metrics.fanout_counter.inc(float(n), outcome=outcome)
         if instrumentation is not None:
             instrumentation.count("fanout_shards", len(groups))
-            instrumentation.count("fanout_answered", len(answered))
-            if missed + timed_out:
-                instrumentation.count("fanout_missed", missed + timed_out)
+            instrumentation.count("fanout_answered", answered)
+            if missed:
+                instrumentation.count("fanout_missed", missed)
 
-        left_out = missed + timed_out + len(failed)
-        if not answered:
-            if infeasible and not left_out:
-                missing: List[str] = []
-                for err in infeasible:
-                    for kw in err.missing_keywords:
-                        if kw not in missing:
-                            missing.append(kw)
-                raise InfeasibleQueryError(missing_keywords=missing)
-            if failed and not (missed + timed_out):
-                raise failed[0]
-            raise AlgorithmTimeout(canonical, timeout or 0.0)
+        left_out = missed + len(failed)
+        remaining = None
+        if timeout is not None:
+            remaining = max(0.0, timeout - (time.perf_counter() - started))
+        try:
+            merged = scatter_merge(
+                keywords, canonical, answers, self._tiling, epsilon,
+                remaining, degrade_on_timeout, instrumentation, left_out,
+            )
+        except InfeasibleQueryError:
+            # Rows of a left-out shard might have covered the query.
+            if not left_out:
+                raise
+            if failed and not missed:
+                raise failed[0] from None
+            raise AlgorithmTimeout(canonical, timeout or 0.0) from None
 
-        best = min(answered, key=_merge_key)
-        weakest = min(
-            answered,
-            key=lambda g: QUALITY_RANK.get(g.quality or "", 0),
-        )
-        # The merged certificate can only be as strong as the weakest
-        # shard that contributed: a greedy shard might be hiding the
-        # true optimum even when the winner's own run was exact.
-        best.quality = weakest.quality
+        best = merged.group
         best.algorithm = canonical
         best.stats["fanout_shards"] = float(len(groups))
-        best.stats["shards_answered"] = float(len(answered))
-        best.stats["shards_infeasible"] = float(len(infeasible))
+        best.stats["shards_answered"] = float(answered)
+        best.stats["shards_infeasible"] = float(infeasible)
         best.stats["shards_missed"] = float(left_out)
-        if left_out:
-            best.quality = QUALITY_PARTIAL
-            best.stats["degraded"] = 1.0
+        if merged.partial:
             if metrics is not None:
                 metrics.partial_merge_counter.inc()
             if instrumentation is not None:
@@ -515,28 +418,16 @@ class ReplicatedShardRouter:
             attach_explain(
                 best, keywords, canonical, epsilon, timeout,
                 instrumentation, self.kind, elapsed,
+                instrumentation.tracer or get_tracer(), merged.trace_id,
             )
         return best
 
-    def _query_shard(
-        self, group, keywords, algorithm, epsilon, timeout, degrade
-    ):
+    def _query_shard(self, group, *args):
+        """The shard's answer, or the error it raised."""
         try:
-            result = group.query(
-                keywords,
-                algorithm=algorithm,
-                epsilon=epsilon,
-                timeout=timeout,
-                prefer=self.read_preference,
-                degrade_on_timeout=degrade,
-            )
-            return ("ok", result)
-        except InfeasibleQueryError as err:
-            return ("infeasible", err)
-        except AlgorithmTimeout as err:
-            return ("timeout", err)
+            return group.read_engine(prefer=self.read_preference).shard_answer(*args)
         except Exception as err:  # noqa: BLE001 - isolate shard failures
-            return ("failed", err)
+            return err
 
     # ------------------------------------------------------------------ #
     # Replication pump
@@ -624,23 +515,16 @@ class ReplicatedShardRouter:
         """
         started = time.perf_counter()
         source = self.groups[gid]
-        region = self._regions[gid]
-        if source is None or region is None:
-            raise DatasetError(f"shard {gid} is not live")
-        if region.width >= region.height:
-            mid = region.x1 + region.width / 2.0
-            keep = _Region(region.x1, region.y1, mid, region.y2)
-            move = _Region(mid, region.y1, region.x2, region.y2)
-
-            def moving(x: float, y: float) -> bool:
-                return x >= mid
+        region = self._tiling.regions[gid]
+        if region.x2 - region.x1 >= region.y2 - region.y1:
+            mid = region.x1 + (region.x2 - region.x1) / 2.0
+            keep, move, axis = region._replace(x2=mid), region._replace(x1=mid), 0
         else:
-            mid = region.y1 + region.height / 2.0
-            keep = _Region(region.x1, region.y1, region.x2, mid)
-            move = _Region(region.x1, mid, region.x2, region.y2)
+            mid = region.y1 + (region.y2 - region.y1) / 2.0
+            keep, move, axis = region._replace(y2=mid), region._replace(y1=mid), 1
 
-            def moving(x: float, y: float) -> bool:
-                return y >= mid
+        def moving(x: float, y: float) -> bool:
+            return (x, y)[axis] >= mid
 
         metrics = self._metrics
         try:
@@ -691,9 +575,11 @@ class ReplicatedShardRouter:
                     new_group.apply_records(picked)
                 cutover = len(picked)
                 # Routing swap first: new mutations for the moving half
-                # go to the new group from this point on.
-                self._regions[gid] = keep
-                self._regions.append(move)
+                # go to the new group from this point on.  One assignment,
+                # so a merging reader sees the old tiling or the new one.
+                regions = list(self._tiling.regions)
+                regions[gid] = keep
+                self._tiling.regions = regions + [move]
                 self.groups.append(new_group)
                 for oid in moved:
                     self._moved_owner[oid] = new_gid

@@ -68,20 +68,40 @@ class TestProtocolShape:
 
     def test_fallback_when_no_local_cover(self):
         """Two far corners each hold one keyword: no single partition
-        covers the query, forcing the centralized fallback — which must
-        still be exact."""
+        covers the query, so the strip is every relevant row — and the
+        answer must still be exact."""
         ds = Dataset.from_records(
             [(0.0, 0.0, ["left"]), (100.0, 100.0, ["right"])]
         )
         result = DistributedMCKEngine(ds, n_workers=4).query(["left", "right"])
-        assert result.fell_back_to_central
+        assert result.strip_objects == 2
+        assert result.rounds == 2
+        assert result.bytes_shipped == 16 * 64 + 2 * 48
         assert result.group.diameter == pytest.approx((2 * 100**2) ** 0.5)
+        assert result.group.quality == "exact"
 
     def test_worker_answers_recorded(self, single_keyword_dataset):
         result = DistributedMCKEngine(single_keyword_dataset, n_workers=4).query(
             ["a", "b"]
         )
-        assert len(result.worker_answers) >= 4
+        assert len(result.worker_answers) == 4
+
+    def test_straddling_pair_found_in_the_strip(self):
+        """Each cell holds a wide local pair; the best pair straddles the
+        x = 50 edge, so only the strip solve can find it."""
+        ds = Dataset.from_records(
+            [
+                (0.0, 0.0, ["a"]), (100.0, 100.0, ["b"]),  # fix the extent
+                (10.0, 10.0, ["a"]), (40.0, 40.0, ["b"]),
+                (60.0, 60.0, ["a"]), (90.0, 90.0, ["b"]),
+                (49.0, 20.0, ["a"]), (51.0, 20.0, ["b"]),
+            ]
+        )
+        result = DistributedMCKEngine(ds, n_workers=4).query(["a", "b"])
+        assert result.group.object_ids == (6, 7)
+        assert result.group.diameter == pytest.approx(2.0)
+        assert result.group.quality == "exact"
+        assert 2 <= result.strip_objects < len(ds)
 
 
 class TestScalingBehaviour:

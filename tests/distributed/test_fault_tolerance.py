@@ -11,7 +11,7 @@ from repro.testing import faults
 @pytest.fixture
 def grid_dataset(random_dataset_factory):
     # One keyword per object: no single object covers the query, so the
-    # protocol always needs its second (exact) round.
+    # coordinator always collects a boundary strip.
     return random_dataset_factory(11, n=60, vocab="abcd", max_terms=1)
 
 
@@ -56,15 +56,18 @@ class TestRespawnAndResubmit:
     def test_crash_in_exact_round(self, engine):
         baseline = engine.query(QUERY)
         n = engine.n_workers
-        # Skip all of round 1; crash the first round-2 call once.
+        # The workers run EXACT in the query's one worker round: crash the
+        # last worker's call once.
         with faults.injected(
-            "distributed.worker.answer", error=crash(), after=n, times=1
+            "distributed.worker.answer", error=crash(), after=n - 1, times=1
         ):
             result = engine.query(QUERY)
         assert result.group.diameter == pytest.approx(baseline.group.diameter)
+        assert result.group.object_ids == baseline.group.object_ids
+        assert result.group.quality == "exact"
         assert (
             engine.metrics.counter("mck_worker_crashes_total").value(
-                round="exact"
+                round="bound"
             )
             == 1.0
         )
@@ -98,26 +101,32 @@ class TestAbandonment:
             match=lambda worker_id, **_: worker_id == 0,
         ):
             result = engine.query(QUERY)
-        # Worker 0 died every attempt in both rounds: (1 + retries) crashes
-        # per round, `max_worker_retries` respawns per round.
-        per_round = engine.max_worker_retries + 1
-        assert result.worker_crashes == 2 * per_round
-        assert result.worker_retries == 2 * engine.max_worker_retries
+        # Worker 0 died every attempt of the query's one worker round:
+        # 1 + retries crashes, `max_worker_retries` respawns.
+        assert result.worker_crashes == engine.max_worker_retries + 1
+        assert result.worker_retries == engine.max_worker_retries
         assert result.group is not None
-        # Survivors still bound the answer: no worse than 2x the paper's
-        # target would require, and never infeasible.
+        # The survivors' merge answers without worker 0's rows: never
+        # below the optimum, and tagged partial.
         assert result.group.diameter >= baseline.group.diameter - 1e-9
+        assert result.group.quality == "partial"
+        assert result.group.degraded
 
-    def test_all_workers_crashing_falls_back_to_central(self, engine):
-        baseline = engine.query(QUERY)
+    def test_all_workers_crashing_raises(self, engine):
+        # Every worker abandoned: no rows reach the coordinator, which
+        # holds no copy of the data to answer from.
         with faults.injected(
             "distributed.worker.answer", error=crash(), times=None
         ):
-            result = engine.query(QUERY)
-        # Every bound-round worker abandoned -> no local bound -> the
-        # coordinator solves centrally and still returns the optimum.
-        assert result.fell_back_to_central
-        assert result.group.diameter == pytest.approx(baseline.group.diameter)
+            with pytest.raises(WorkerCrashed):
+                engine.query(QUERY)
+        per_worker = engine.max_worker_retries + 1
+        assert (
+            engine.metrics.counter("mck_worker_crashes_total").value(
+                round="bound"
+            )
+            == engine.n_workers * per_worker
+        )
 
     def test_zero_retry_budget(self, grid_dataset):
         engine = DistributedMCKEngine(

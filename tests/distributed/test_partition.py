@@ -1,8 +1,13 @@
-"""Tests for the grid partitioner."""
+"""Tests for the grid partitioner and the tiling's boundary strip."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.objects import Dataset
+from repro.core.scatter import Region, Tiling
 from repro.distributed.partition import GridPartitioner
 from repro.exceptions import ExperimentError
 from tests.conftest import make_random_dataset
@@ -29,21 +34,17 @@ class TestGrid:
         with pytest.raises(ExperimentError):
             GridPartitioner(ds, 4)
 
-    def test_rejects_negative_halo(self, ds):
-        with pytest.raises(ExperimentError):
-            GridPartitioner(ds, 4).partitions(-1.0)
-
 
 class TestCoreAssignment:
     def test_every_object_in_exactly_one_core(self, ds):
-        parts = GridPartitioner(ds, 9).partitions(halo=0.0)
+        parts = GridPartitioner(ds, 9).partitions()
         seen = []
         for p in parts:
             seen.extend(p.core_ids)
         assert sorted(seen) == list(range(len(ds)))
 
     def test_core_objects_inside_core_rect(self, ds):
-        parts = GridPartitioner(ds, 4).partitions(halo=0.0)
+        parts = GridPartitioner(ds, 4).partitions()
         for p in parts:
             x1, y1, x2, y2 = p.core
             for oid in p.core_ids:
@@ -52,42 +53,58 @@ class TestCoreAssignment:
                 assert y1 - 1e-9 <= y <= y2 + 1e-9
 
     def test_zero_halo_no_replication(self, ds):
-        parts = GridPartitioner(ds, 4).partitions(halo=0.0)
-        assert all(not p.halo_ids for p in parts)
+        parts = GridPartitioner(ds, 4).partitions()
+        assert sum(len(p) for p in parts) == len(ds)
 
 
-class TestHalo:
-    def test_halo_covers_nearby_objects(self, ds):
-        """Every object within `halo` of a worker's core rectangle must be
-        in that worker's view — the correctness condition of the protocol."""
-        halo = 20.0
-        parts = GridPartitioner(ds, 9).partitions(halo=halo)
-        for p in parts:
-            x1, y1, x2, y2 = p.core
-            view = set(p.all_ids)
-            for oid in range(len(ds)):
-                x, y = ds.location_of(oid)
-                dx = max(x1 - x, 0.0, x - x2)
-                dy = max(y1 - y, 0.0, y - y2)
-                if (dx * dx + dy * dy) ** 0.5 <= halo - 1e-9:
-                    assert oid in view, (p.worker_id, oid)
+class TestStrip:
+    def test_strip_holds_every_straddling_member(self):
+        """A member of any group of diameter below the strip width that
+        spans two regions lies in the strip — the merge's correctness
+        condition — also for points outside the extent and after splits."""
+        rng = random.Random(3)
+        tiling = Tiling.grid([0.0, 100.0], [0.0, 100.0], 9)
+        keep = Region(0.0, 0.0, 100.0 / 6, 100.0 / 3)
+        tiling.regions[0] = keep
+        tiling.regions.append(Region(100.0 / 6, 0.0, 100.0 / 3, 100.0 / 3))
+        pts = np.array(
+            [(rng.uniform(-5, 105), rng.uniform(-5, 105)) for _ in range(300)]
+        )
+        owner = [tiling.route(x, y) for x, y in pts]
+        width = 12.0
+        near = tiling.strip(pts, width)
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                if owner[i] != owner[j] and math.dist(pts[i], pts[j]) < width:
+                    assert near[i], (pts[i], pts[j])
 
-    def test_larger_halo_more_replication(self, ds):
-        grid = GridPartitioner(ds, 9)
-        small = sum(len(p.halo_ids) for p in grid.partitions(10.0))
-        large = sum(len(p.halo_ids) for p in grid.partitions(40.0))
-        assert large >= small
+    def test_strip_is_the_band_along_inner_edges(self):
+        tiling = Tiling.grid([0.0, 100.0], [0.0, 100.0], 4)
+        pts = np.array(
+            [(49.0, 10.0), (10.0, 10.0), (10.0, 52.0), (0.0, 0.0), (100.0, 90.0),
+             (50.0, 50.0), (-20.0, 49.5)]
+        )
+        assert tiling.strip(pts, 3.0).tolist() == [
+            True, False, True, False, False, True, True,
+        ]
 
-    def test_huge_halo_replicates_everywhere(self, ds):
-        parts = GridPartitioner(ds, 4).partitions(halo=1e6)
-        for p in parts:
-            assert len(p) == len(ds)
+    def test_wider_strip_holds_more(self, ds):
+        tiling = GridPartitioner(ds, 9).tiling
+        narrow = tiling.strip(ds.coords, 5.0)
+        wide = tiling.strip(ds.coords, 20.0)
+        assert wide.sum() > narrow.sum()
+        assert not (narrow & ~wide).any()
+
+    def test_single_region_has_no_strip(self):
+        tiling = Tiling.grid([0.0, 100.0], [0.0, 100.0], 1)
+        pts = np.array([(50.0, 50.0), (0.0, 0.0), (100.0, 100.0)])
+        assert not tiling.strip(pts, 1e6).any()
 
 
 class TestWorkerForBoundaries:
     """Point routing must agree with bulk partitioning everywhere --
     including points exactly on interior cell edges and extent corners
-    (the live sharding layer routes mutations through ``worker_for`` and
+    (the shard router routes mutations through the same tiling and
     splits regions along these exact float boundaries)."""
 
     def _boundary_dataset(self):
@@ -112,7 +129,7 @@ class TestWorkerForBoundaries:
         ds = self._boundary_dataset()
         grid = GridPartitioner(ds, 4)
         owner_by_bulk = {}
-        for part in grid.partitions(0.0):
+        for part in grid.partitions():
             for oid in part.core_ids:
                 owner_by_bulk[oid] = part.worker_id
         assert len(owner_by_bulk) == len(ds)  # every object exactly once
@@ -126,19 +143,20 @@ class TestWorkerForBoundaries:
         grid = GridPartitioner(ds, 4)
         # x == 50 is the first column of the east cells, y == 50 the first
         # row of the north cells; the extent max edge clamps back inside.
-        assert grid.cell_of(50.0, 0.0) == (1, 0)
-        assert grid.cell_of(0.0, 50.0) == (0, 1)
-        assert grid.cell_of(50.0, 50.0) == (1, 1)
-        assert grid.cell_of(100.0, 100.0) == (1, 1)
-        assert grid.cell_of(0.0, 0.0) == (0, 0)
-        assert grid.cell_of(49.999999, 50.0) == (0, 1)
+        # Row-major cells: worker cy * 2 + cx owns cell (cx, cy).
+        assert grid.worker_for(50.0, 0.0) == 1
+        assert grid.worker_for(0.0, 50.0) == 2
+        assert grid.worker_for(50.0, 50.0) == 3
+        assert grid.worker_for(100.0, 100.0) == 3
+        assert grid.worker_for(0.0, 0.0) == 0
+        assert grid.worker_for(49.999999, 50.0) == 2
 
     def test_extent_corner_objects_round_trip_every_worker_count(self):
         ds = self._boundary_dataset()
         for n_workers in (1, 4, 9, 16):
             grid = GridPartitioner(ds, n_workers)
             owner_by_bulk = {}
-            for part in grid.partitions(0.0):
+            for part in grid.partitions():
                 for oid in part.core_ids:
                     owner_by_bulk[oid] = part.worker_id
             coords = ds.coords

@@ -126,5 +126,5 @@ class TestExtDistributed:
         makespan, shipped = figs
         assert makespan.x_values == [1, 4]
         assert all(v >= 0 for v in makespan.series["distributed"])
-        # More workers never ship fewer bytes (halos replicate).
+        # More workers never ship fewer bytes (more messages, strip rows).
         assert shipped.series["distributed"][1] >= shipped.series["distributed"][0]

@@ -34,22 +34,22 @@ class TestPostings:
         idx = _index([(4, [5]), (7, [5, 6]), (30, [6])])
         assert idx.posting(5) == [4, 7]
         assert idx.posting(6) == [7, 30]
-        assert idx.relevant_objects([5, 6]) == [4, 7, 30]
+        assert idx.posting_column([5, 6]).tolist() == [4, 7, 30]
 
 
 class TestRelevantObjects:
     def test_union_sorted(self):
         idx = _build()
-        assert idx.relevant_objects([1, 3]) == [0, 1, 2, 3]
+        assert idx.posting_column([1, 3]).tolist() == [0, 1, 2, 3]
 
     def test_single_term(self):
-        assert _build().relevant_objects([4]) == [3]
+        assert _build().posting_column([4]).tolist() == [3]
 
     def test_no_terms(self):
-        assert _build().relevant_objects([]) == []
+        assert _build().posting_column([]).tolist() == []
 
     def test_overlapping_postings_deduped(self):
-        assert _build().relevant_objects([1, 2]) == [0, 1, 2]
+        assert _build().posting_column([1, 2]).tolist() == [0, 1, 2]
 
 
 class TestUncoverable:

@@ -96,18 +96,16 @@ class TestFailoverParity:
                                 want = twin.query(keywords, algorithm=algorithm)
                             except Exception as err:
                                 try:
-                                    group.query(
-                                        keywords,
-                                        algorithm=algorithm,
-                                        prefer="primary",
+                                    group.primary_engine.query(
+                                        keywords, algorithm=algorithm
                                     )
                                     raise AssertionError(
                                         f"twin raised {err!r}, group answered"
                                     )
                                 except type(err):
                                     continue
-                            got = group.query(
-                                keywords, algorithm=algorithm, prefer="primary"
+                            got = group.primary_engine.query(
+                                keywords, algorithm=algorithm
                             )
                             assert abs(got.diameter - want.diameter) < 1e-9, (
                                 algorithm,

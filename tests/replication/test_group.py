@@ -118,8 +118,8 @@ class TestFailover:
             try:
                 for algorithm in ALGORITHMS:
                     for keywords in (["a", "b"], ["a", "b", "c"], ["b", "d"]):
-                        got = group.query(
-                            keywords, algorithm=algorithm, prefer="primary"
+                        got = group.primary_engine.query(
+                            keywords, algorithm=algorithm
                         )
                         want = twin.query(keywords, algorithm=algorithm)
                         assert got.diameter == pytest.approx(want.diameter), (

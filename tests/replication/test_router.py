@@ -139,6 +139,87 @@ class TestScatterGather:
         assert timings["total_seconds"] == timings["algorithm_seconds"]
 
 
+class TestCrossShardMerge:
+    """Groups straddling a region edge: the boundary strip must find them."""
+
+    #: Extent [0, 100]^2 on a 2x2 grid: inner edges at x = 50 and y = 50.
+    CORNERS = [(0.0, 0.0, ["z"]), (100.0, 100.0, ["z"])]
+
+    def test_keywords_split_across_shards_still_answer(self):
+        recs = self.CORNERS + [(48.0, 20.0, ["a"]), (52.0, 21.0, ["b"])]
+        with ReplicatedShardRouter(recs, n_shards=4, replicas_per_shard=0) as router:
+            a_shard = router.route(48.0, 20.0)
+            b_shard = router.route(52.0, 21.0)
+            assert a_shard != b_shard
+            for algorithm in ["GKG", "SKECa+", "EXACT"]:
+                got = router.query(["a", "b"], algorithm=algorithm)
+                assert got.diameter == pytest.approx((4.0 ** 2 + 1.0) ** 0.5)
+                assert len(got.object_ids) == 2
+                assert got.stats["shards_answered"] == 0.0
+                assert got.stats["shards_infeasible"] == 4.0
+                assert got.stats["strip_objects"] == 2.0
+            assert got.quality == "exact"
+
+    def test_straddling_pair_beats_every_shard_local_group(self):
+        recs = self.CORNERS + [
+            (10.0, 10.0, ["a"]), (30.0, 30.0, ["b"]),  # west pair, 28.3 wide
+            (70.0, 10.0, ["a"]), (90.0, 30.0, ["b"]),  # east pair, 28.3 wide
+            (49.0, 40.0, ["a"]), (51.5, 40.0, ["b"]),  # straddles x = 50
+        ]
+        twin = LiveMCKEngine.from_records(recs)
+        try:
+            with ReplicatedShardRouter(
+                recs, n_shards=4, replicas_per_shard=0
+            ) as router:
+                for algorithm in ["GKG", "SKECa", "SKECa+", "EXACT"]:
+                    got = router.query(["a", "b"], algorithm=algorithm)
+                    assert got.diameter == pytest.approx(2.5)
+                    assert got.diameter == pytest.approx(
+                        twin.query(["a", "b"], algorithm="EXACT").diameter
+                    )
+                    assert {router.shard_of(o) for o in got.object_ids} == {
+                        router.route(49.0, 40.0), router.route(51.5, 40.0)
+                    }
+                    assert got.stats["shards_answered"] == 2.0
+                    assert got.algorithm == algorithm
+                got = router.query(["a", "b"], algorithm="EXACT")
+                assert got.quality == "exact"
+                # Within 28.3 of x = 50 or y = 50: all but (10, 10).
+                assert got.stats["strip_objects"] == 5.0
+        finally:
+            twin.close()
+
+    def test_explain_shows_the_strip_solve(self):
+        recs = self.CORNERS + [(48.0, 20.0, ["a"]), (52.0, 21.0, ["b"])]
+        with ReplicatedShardRouter(recs, n_shards=4, replicas_per_shard=0) as router:
+            group = router.query(["a", "b"], algorithm="EXACT", explain=True)
+            report = group.explain_report
+            (strip,) = [s for s in report["tree"] if s["name"] == "scatter.strip"]
+            assert strip["attributes"]["objects"] == 2
+            assert strip["attributes"]["solved"] is True
+            assert report["counters"]["other"]["strip_objects"] == 2.0
+
+    def test_strip_out_of_time_keeps_the_shard_answer_partial(self, monkeypatch):
+        import repro.core.scatter as scatter
+        from repro.exceptions import AlgorithmTimeout
+
+        def expire(compile_context, keywords, algorithm, *args, **kwargs):
+            raise AlgorithmTimeout(algorithm, 0.0)
+
+        recs = self.CORNERS + [
+            (10.0, 10.0, ["a"]), (30.0, 30.0, ["b"]),
+            (49.0, 40.0, ["a"]), (51.5, 40.0, ["b"]),
+        ]
+        with ReplicatedShardRouter(recs, n_shards=4, replicas_per_shard=0) as router:
+            monkeypatch.setattr(scatter, "run_query", expire)
+            got = router.query(["a", "b"], algorithm="EXACT", timeout=5.0)
+            # Shard 0's best: (49, 40) with (30, 30), not the 2.5 straddler.
+            assert got.diameter == pytest.approx((19.0 ** 2 + 10.0 ** 2) ** 0.5)
+            assert got.quality == QUALITY_PARTIAL
+            assert got.degraded
+            assert got.stats["shards_missed"] == 0.0
+
+
 class TestSplit:
     def test_split_preserves_answers_and_moves_objects(self):
         recs = _records(80, seed=5)
